@@ -33,7 +33,7 @@
 //!   assert the schedule instead of waiting it out.
 
 use crate::backoff::{BackoffPolicy, OsSleeper, Sleeper};
-use crate::jobs::{key_of, prepare_programs};
+use crate::jobs::{key_of, prepare_programs, workload_of};
 use crate::journal::{Journal, JournalEntry};
 use crate::{
     default_workers, lock_clean, panic_message, parallel_map_isolated, FaultPlan, JobStatus,
@@ -44,7 +44,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use vex_isa::Program;
-use vex_sim::{run_prepared_full, PreparedProgram, SimStats, StopReason};
+use vex_sim::{run_prepared_full, SimStats, StopReason};
 use vex_spec::{RunSpec, SweepSpec};
 
 /// Resolves a `.vex`/`.vexb` path to a program. The runner itself has no
@@ -407,7 +407,8 @@ impl<'a> SweepRunner<'a> {
         // Keyed by machine *index* because machines with identical
         // geometry were already collapsed by `expand`. The digest feeds
         // the journal's content-addressed point keys. Shared with the
-        // sweep service through the job model (`crate::jobs`).
+        // sweep service through the job model (`crate::jobs`), whose memo
+        // lets a re-run of the same spec skip compiling its built-ins.
         let prepared = prepare_programs(&points, self.loader)?;
 
         // Open the journal (if any) and replay prior progress (if resuming).
@@ -463,16 +464,7 @@ impl<'a> SweepRunner<'a> {
             }
             slots.push(None);
 
-            let workload: Vec<PreparedProgram> = run
-                .mix
-                .members
-                .iter()
-                .map(|m| {
-                    prepared[&(run.machine_index, m.as_str().to_string())]
-                        .0
-                        .clone()
-                })
-                .collect();
+            let workload = workload_of(&run, &prepared);
             let journal = &journal;
             let journal_err = &journal_err;
             job_slot.push(index);

@@ -11,7 +11,7 @@ use crate::op::FuKind;
 /// The paper's configuration (§IV): a 4-issue cluster with 2 multipliers,
 /// 1 load/store unit and 4 ALUs. We also give every cluster a branch unit
 /// and one send plus one receive port on the inter-cluster network.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ClusterResources {
     /// Issue slots per cycle (bundle capacity).
     pub slots: u8,
@@ -78,7 +78,7 @@ impl ClusterResources {
 }
 
 /// Assumed operation latencies, exposed to the compiler (NUAL).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Latencies {
     /// ALU operations (including compares): 1 cycle in the paper.
     pub alu: u8,
@@ -106,7 +106,7 @@ impl Default for Latencies {
 }
 
 /// Full machine configuration shared by compiler and simulator.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MachineConfig {
     /// Number of clusters.
     pub n_clusters: u8,

@@ -315,8 +315,10 @@ fn enqueue_spec(
     record: bool,
 ) -> Result<(usize, usize, usize), String> {
     let spec = SweepSpec::parse(text).map_err(|e| format!("bad spec: {e}"))?;
-    // Expansion compiles the member programs (to derive the point keys);
-    // do it outside the state lock.
+    // Expansion prepares the member programs (to derive the point keys);
+    // do it outside the state lock. Built-ins come from the job model's
+    // memo when the previous submission used them, so a resubmission
+    // compiles nothing; path members are reloaded and re-digested.
     let points = spec_point_keys(&spec, shared.loader)?;
 
     let mut st = lock(&shared.state);

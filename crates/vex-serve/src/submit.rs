@@ -47,22 +47,7 @@ pub fn submit(
     stream.set_nodelay(true).ok();
 
     let reply = request(&mut stream, &format!("SUBMIT\n{spec_text}"))?;
-    let (head, _) = split_message(&reply);
-    let mut parts = head.split(' ');
-    let (total, cached, enqueued) = match parts.next().unwrap_or("") {
-        "ACCEPTED" => {
-            let mut next = || {
-                parts
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .ok_or_else(|| format!("malformed ACCEPTED reply `{head}`"))
-            };
-            (next()?, next()?, next()?)
-        }
-        "DRAINING" => return Err("server is draining; not accepting new submissions".to_string()),
-        "ERROR" => return Err(format!("server rejected the spec: {}", &head[6..])),
-        other => return Err(format!("unexpected reply to SUBMIT: `{other}`")),
-    };
+    let (total, cached, enqueued) = parse_submit_reply(split_message(&reply).0)?;
     if total != points.len() {
         return Err(format!(
             "server expanded {total} points, client expanded {} — spec disagreement",
@@ -142,10 +127,58 @@ pub fn submit(
     })
 }
 
+/// Decodes the head of the server's reply to `SUBMIT` into
+/// `(total, cached, newly enqueued)`; any other reply is an `Err`.
+fn parse_submit_reply(head: &str) -> Result<(usize, usize, usize), String> {
+    let mut parts = head.split(' ');
+    match parts.next().unwrap_or("") {
+        "ACCEPTED" => {
+            let mut next = || {
+                parts
+                    .next()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or_else(|| format!("malformed ACCEPTED reply `{head}`"))
+            };
+            Ok((next()?, next()?, next()?))
+        }
+        "DRAINING" => Err("server is draining; not accepting new submissions".to_string()),
+        "ERROR" => Err(format!(
+            "server rejected the spec: {}",
+            head.strip_prefix("ERROR ").unwrap_or("no reason given")
+        )),
+        other => Err(format!("unexpected reply to SUBMIT: `{other}`")),
+    }
+}
+
 /// One request/reply exchange.
 fn request(stream: &mut TcpStream, text: &str) -> Result<String, String> {
     write_frame(stream, text).map_err(|e| format!("cannot send to the server: {e}"))?;
     read_frame(stream)
         .map_err(|e| format!("cannot read from the server: {e}"))?
         .ok_or_else(|| "server closed the connection".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn submit_replies_decode_without_panicking() {
+        assert_eq!(parse_submit_reply("ACCEPTED 16 4 12"), Ok((16, 4, 12)));
+        assert_eq!(
+            parse_submit_reply("ERROR bad spec: oops"),
+            Err("server rejected the spec: bad spec: oops".to_string())
+        );
+        // A bare `ERROR` frame (no reason) must be an `Err`, not a panic.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "ERROR").unwrap();
+        let reply = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(
+            parse_submit_reply(split_message(&reply).0),
+            Err("server rejected the spec: no reason given".to_string())
+        );
+        for bad in ["", "DRAINING", "ACCEPTED", "ACCEPTED 1 x 2", "WHAT"] {
+            assert!(parse_submit_reply(bad).is_err(), "{bad:?}");
+        }
+    }
 }

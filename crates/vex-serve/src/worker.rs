@@ -2,11 +2,15 @@
 //! assignments, simulates them, and streams heartbeats from inside the
 //! cycle loop so the supervisor can tell "still grinding" from "hung".
 //!
-//! A worker is deliberately stateless: everything it needs arrives in the
-//! assignment (a canonical single-point spec), and everything it produces
-//! leaves as a journal payload. Killing a worker at any instant loses at
-//! most the in-flight point, which the server re-queues — that is the
-//! whole fault-isolation contract.
+//! Everything a worker needs arrives in the assignment (a canonical
+//! single-point spec), and everything it produces leaves as a journal
+//! payload. The only state it keeps between assignments is the job
+//! model's memo of the built-in programs its last assignment used, so the
+//! next point of the same mix skips compiling them; the key it recomputes
+//! from that memo is still checked against the assigned one. Killing a
+//! worker at any instant loses at most the in-flight point, which the
+//! server re-queues, and that memo — that is the whole fault-isolation
+//! contract.
 //!
 //! ## Fault injection (`VEX_WORKER_FAULT`)
 //!
@@ -27,10 +31,10 @@
 use crate::proto::{parse_key, read_frame, split_message, write_frame};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use vex_experiments::jobs::key_of;
+use vex_experiments::jobs::{key_of, workload_of};
 use vex_experiments::runner::ProgramLoader;
 use vex_experiments::{panic_message, prepare_programs, JournalEntry};
-use vex_sim::{run_prepared_observed, PreparedProgram};
+use vex_sim::run_prepared_observed;
 use vex_spec::SweepSpec;
 
 /// How often (in simulated cycles) the engine surfaces control to the
@@ -130,16 +134,7 @@ fn run_point(
 
     fault_gate(&run.label());
 
-    let workload: Vec<PreparedProgram> = run
-        .mix
-        .members
-        .iter()
-        .map(|m| {
-            prepared[&(run.machine_index, m.as_str().to_string())]
-                .0
-                .clone()
-        })
-        .collect();
+    let workload = workload_of(run, &prepared);
     let cfg = run.to_sim_config();
 
     // Heartbeats ride the same connection as one-way frames; the hook
