@@ -1045,8 +1045,9 @@ fn cmd_submit(args: &[String]) -> Result<(), Fail> {
     Ok(())
 }
 
-/// Runs a workload like [`vex_sim::run_programs`], optionally streaming
-/// the event trace to `trace` in the binary `.vext` format. The sink is
+/// Runs a workload to completion on a fresh [`vex_sim::Engine`] and
+/// returns it (for architectural-state inspection) with the stop reason,
+/// optionally streaming the event trace to `trace` in the binary `.vext` format. The sink is
 /// finished (flushed, deferred I/O errors surfaced) before the report
 /// prints, so a reported run always has a complete trace on disk.
 fn run_traced(

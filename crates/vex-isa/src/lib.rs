@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod exec;
 pub mod inst;
 pub mod machine;
 pub mod op;

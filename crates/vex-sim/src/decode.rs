@@ -10,34 +10,17 @@
 //! instruction, the flattened operation table ([`DecodedOp`]), the bundle
 //! mask, the communication flag, the fetch address/length, and the send
 //! sources for inter-cluster transfers. Activation is left with pure value
-//! evaluation (register/memory reads plus [`crate::exec::eval`]).
+//! evaluation: one `match` over each operation's [`Kind`] in
+//! [`crate::exec::eval`].
 //!
 //! Contexts running the same program share one table via `Arc`: the engine
 //! deduplicates by `Arc::ptr_eq` when it builds a workload, so an
 //! `n`-thread run of one benchmark decodes it exactly once.
 
 use crate::packet::{pack_demand, MAX_CLUSTERS};
-use crate::threaded::{self, EvalFn, ThreadedOp};
+use crate::thread::{F_BREG, F_BREG_VAL, F_GPR, F_MEM, F_PENDING, F_SIZE_SHIFT, F_STORE};
 use std::sync::Arc;
 use vex_isa::{Dest, FuKind, Opcode, Operand, Program};
-
-/// Width/signedness of a pre-decoded load.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoadWidth {
-    /// 32-bit word (`ldw`).
-    W,
-    /// Sign-extended halfword (`ldh`).
-    H,
-    /// Zero-extended halfword (`ldhu`).
-    Hu,
-    /// Sign-extended byte (`ldb`).
-    B,
-    /// Zero-extended byte (`ldbu`).
-    Bu,
-}
-
-/// A general-purpose register coordinate `(logical cluster, index)`.
-pub type RegCoord = (u8, u8);
 
 /// Pre-resolved source operand: the **flat** GPR-file index
 /// (`cluster * 64 + index`, see [`crate::thread::GprFile`]), or [`SRC_IMM`]
@@ -50,126 +33,130 @@ pub type SrcRef = u16;
 /// [`SrcRef`] sentinel: the operand is the op's immediate.
 pub const SRC_IMM: SrcRef = u16::MAX;
 
-/// Flat-destination sentinel: no GPR/branch-register write (result
-/// discarded, or the destination was the immutable register zero).
-pub const DST_NONE: u16 = u16::MAX;
-
 /// Flat branch-register sentinel: the condition operand named no branch
-/// register; it reads false.
-pub const BREG_NONE: u16 = u16::MAX;
+/// register; it reads false. Flat indices stop at `MAX_CLUSTERS * 8`, so
+/// a byte holds every real one.
+pub const BREG_NONE: u8 = u8::MAX;
 
-/// What an operation *does* at activation, with every static decision
-/// already made — opcode classified, operands resolved to flat register
-/// indices or immediates, immutable-destination writes dropped, and
-/// constant operations folded. Only values (register reads, memory reads,
-/// ALU results) are computed when a record is built from one of these.
+/// Evaluation kind of a [`DecodedOp`]: the operation's effect class
+/// crossed with its operand shape (`RR` register/register, `RI`
+/// register/immediate, `IR` immediate/register, `II` two immediates).
+/// ALU-class kinds carry the opcode, evaluated by [`Opcode::eval`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum OpEval {
-    /// Memory read into an optional GPR destination.
-    Load {
-        /// Access width.
-        width: LoadWidth,
-        /// Base-address source (immediate bases fold into `off`).
-        base: SrcRef,
-        /// Byte offset added to the base.
-        off: u32,
-        /// Flat destination GPR, or [`DST_NONE`].
-        dst: u16,
-    },
-    /// Memory write, delay-buffered until commit.
-    Store {
-        /// Access size in bytes (1, 2 or 4).
-        size: u8,
-        /// Base-address source (immediate bases fold into `off`).
-        base: SrcRef,
-        /// Byte offset added to the base.
-        off: u32,
-        /// Value source.
-        value: SrcRef,
-        /// Immediate consumed by `value` when it is [`SRC_IMM`].
-        val_imm: u32,
-    },
-    /// Inter-cluster send. The value capture happens via
-    /// [`DecodedProgram::sends_of`] before records are built, so the record
-    /// itself carries no effect.
-    Send,
-    /// Inter-cluster receive of transfer pair `pair` into `dst`.
-    Recv {
-        /// Transfer pair id (0..16).
-        pair: u8,
-        /// Flat destination GPR, or [`DST_NONE`].
-        dst: u16,
-    },
-    /// Conditional branch: taken when the branch register equals
-    /// `taken_if`.
-    CondBr {
-        /// Flat branch-register index, or [`BREG_NONE`] (reads false).
-        cond: u16,
-        /// Target instruction index.
-        target: usize,
-        /// Polarity: `true` for `br`, `false` for `brf`.
-        taken_if: bool,
-    },
-    /// Unconditional branch.
-    Goto {
-        /// Target instruction index.
-        target: usize,
-    },
+pub enum Kind {
+    /// ALU/MUL operation writing a GPR, sources `a`/`b`.
+    AluRR(Opcode),
+    /// ALU/MUL operation writing a GPR, sources `a`/`imm`.
+    AluRI(Opcode),
+    /// ALU/MUL operation writing a GPR, sources `imm`/`b`.
+    AluIR(Opcode),
+    /// Operation writing a branch register ([`Opcode::eval_cond`]),
+    /// sources `a`/`b`.
+    CmpRR(Opcode),
+    /// Branch-register write, sources `a`/`imm`.
+    CmpRI(Opcode),
+    /// Branch-register write, sources `imm`/`b`.
+    CmpIR(Opcode),
+    /// `slct` writing a GPR: `a` if branch register `cond` is set, else `b`.
+    SlctRR,
+    /// `slct`, false arm the immediate `imm`.
+    SlctRI,
+    /// `slct`, true arm the immediate `imm`.
+    SlctIR,
+    /// `slct` of two immediates: `imm` if `cond` is set, else `imm2`.
+    SlctII,
+    /// Word load from `a + imm` (an immediate base folds into `imm`; same
+    /// for the widths below and for stores).
+    LdW,
+    /// Sign-extending halfword load.
+    LdH,
+    /// Zero-extending halfword load.
+    LdHu,
+    /// Sign-extending byte load.
+    LdB,
+    /// Zero-extending byte load.
+    LdBu,
+    /// Store of register `b` to `a + imm` (size in the record flags).
+    StR,
+    /// Store of the immediate `imm2` to `a + imm`.
+    StI,
+    /// Branch to `imm` when branch register `cond` is set.
+    CondBrT,
+    /// Branch to `imm` when branch register `cond` is clear.
+    CondBrF,
+    /// Unconditional branch to `imm`.
+    Goto,
     /// End of the program run.
     Halt,
-    /// ALU/MUL operation writing a GPR.
-    AluGpr {
-        /// Opcode, dispatched by [`crate::exec::eval`].
-        op: Opcode,
-        /// First source.
-        a: SrcRef,
-        /// Second source.
-        b: SrcRef,
-        /// Immediate consumed by whichever of `a`/`b` is [`SRC_IMM`]
-        /// (two-immediate operations are constant-folded at decode).
-        imm: u32,
-        /// Select condition (flat branch register or [`BREG_NONE`]).
-        cond: u16,
-        /// Flat destination GPR (never [`DST_NONE`]: destination-less
-        /// operations decode to [`OpEval::Effectless`]).
-        dst: u16,
-    },
-    /// A `slct` whose both data sources are immediates (cannot fold: the
-    /// outcome still depends on the branch register at activation).
-    SlctImm {
-        /// Value when the condition is true.
-        a: u32,
-        /// Value when the condition is false.
-        b: u32,
-        /// Flat branch-register condition, or [`BREG_NONE`].
-        cond: u16,
-        /// Flat destination GPR.
-        dst: u16,
-    },
-    /// Compare-class operation writing a branch register.
-    AluBreg {
-        /// Opcode, dispatched by [`crate::exec::eval_cond`].
-        op: Opcode,
-        /// First source.
-        a: SrcRef,
-        /// Second source.
-        b: SrcRef,
-        /// Immediate consumed by whichever of `a`/`b` is [`SRC_IMM`].
-        imm: u32,
-        /// Flat destination branch register.
-        dst: u16,
-    },
-    /// A branch-register write whose value folded to a constant at decode
-    /// (compare of two immediates).
-    BregConst {
-        /// The folded truth value.
-        v: bool,
-        /// Flat destination branch register.
-        dst: u16,
-    },
-    /// Operation with no architectural effect (result discarded). Still
-    /// occupies its functional unit and issue slot.
+    /// Branch-register write folded to a constant at decode (the value is
+    /// already in the record flags).
+    BregConst,
+    /// Inter-cluster send. Its value is captured through
+    /// [`DecodedProgram::sends_of`] before evaluation, so the record itself
+    /// carries no effect.
+    Send,
+    /// Inter-cluster receive of transfer pair `imm`.
+    Recv,
+    /// No architectural effect (result discarded). Still occupies its
+    /// functional unit and issue slot.
     Effectless,
+}
+
+/// One operation with every static decision already made: opcode
+/// classified, operands resolved to flat register indices or immediates,
+/// immutable-destination writes dropped, constant operations folded, and
+/// the static half of its [`crate::thread::OpRecord`] precomputed. Only
+/// values (register reads, memory reads, ALU results) are left for
+/// [`crate::exec::eval`] at activation.
+///
+/// Operand fields are read per [`Kind`]. A field a kind does not read
+/// holds flat GPR index 0 (`a`/`b`, the never-written register zero) or
+/// [`BREG_NONE`] (`cond`), so a uniform scan of the read set — the
+/// direct-apply classifier's — needs no per-kind case.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DecodedOp {
+    /// Evaluation kind.
+    pub kind: Kind,
+    /// Precomputed record flag byte (`F_PENDING` included); evaluation
+    /// only adds `F_BREG_VAL`, the one data-dependent bit.
+    pub rec_flags: u8,
+    /// First source: flat GPR index (load/store base address included).
+    pub a: u16,
+    /// Second source: flat GPR index (store value included).
+    pub b: u16,
+    /// Flat branch-register condition (`slct`, conditional branches), or
+    /// [`BREG_NONE`].
+    pub cond: u8,
+    /// The record's packed static half, copied verbatim into
+    /// `OpRecord::statics`: flat destination index (low 16 bits; `0` when
+    /// the record writes nothing), logical cluster (bits 16..24),
+    /// FU-class index (bits 24..32).
+    pub statics: u32,
+    /// Primary immediate: ALU immediate operand, load/store byte offset,
+    /// branch target, `recv` pair id, or `slct` true-arm constant.
+    pub imm: u32,
+    /// Secondary immediate: store value or `slct` false-arm constant.
+    pub imm2: u32,
+}
+
+impl DecodedOp {
+    /// Logical cluster of the containing bundle.
+    #[inline]
+    pub fn log_cluster(&self) -> u8 {
+        (self.statics >> 16) as u8
+    }
+
+    /// Functional-unit class.
+    #[inline]
+    pub fn fu(&self) -> FuKind {
+        FuKind::from_index((self.statics >> 24) as usize)
+    }
+
+    /// Flat destination index (`0` when the operation writes nothing).
+    #[inline]
+    pub fn dst(&self) -> u16 {
+        self.statics as u16
+    }
 }
 
 /// Static issue-resource demand of one bundle: how many slots and
@@ -195,17 +182,6 @@ pub struct ClusterDemand {
     pub packed: u64,
 }
 
-/// The static half of one operation's in-flight record.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DecodedOp {
-    /// Logical cluster of the bundle containing the op.
-    pub log_cluster: u8,
-    /// Functional-unit class (issue resource accounting).
-    pub fu: FuKind,
-    /// Pre-classified evaluation recipe.
-    pub eval: OpEval,
-}
-
 /// Per-instruction static metadata.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DecodedInst {
@@ -219,12 +195,6 @@ pub struct DecodedInst {
     pub demand_range: (u32, u32),
     /// Bit `c` set iff logical cluster `c` has a non-empty bundle.
     pub bundle_mask: u16,
-    /// Bit `c` set iff bundle `c` exists and every one of its ops lowered
-    /// to a *dense* [`crate::threaded::Kind`]: activation batch-evaluates
-    /// the bundle through the fused evaluator instead of per-op
-    /// [`EvalFn`] calls. `fused_mask == bundle_mask` (the common case)
-    /// means the whole instruction takes the fused path in one pass.
-    pub fused_mask: u16,
     /// Whether any operation is an inter-cluster send/recv (NS policy).
     pub has_comm: bool,
     /// Direct-apply eligibility: the instruction has no memory operation,
@@ -249,17 +219,7 @@ pub struct DecodedInst {
 pub struct DecodedProgram {
     /// Flattened operation table, grouped by instruction in bundle order
     /// (the same order `activate` used to walk `Instruction::bundles`).
-    /// Off the hot path since the threaded-code lowering: activation walks
-    /// [`DecodedProgram::tops`]; this table remains the readable
-    /// classification record (tests, diagnostics) the lowering consumed.
     pub ops: Vec<DecodedOp>,
-    /// Threaded-code table: one [`ThreadedOp`] per entry of `ops`, same
-    /// order, produced by [`crate::threaded::lower_op`]. This is what
-    /// activation executes.
-    pub tops: Vec<ThreadedOp>,
-    /// Pre-bound evaluator table parallel to `tops`: the per-op closure
-    /// table taken by bundles outside the fused dense set.
-    pub fns: Vec<EvalFn>,
     /// Flattened `(pair id, source, immediate)` table for send value
     /// capture, sources pre-resolved like every other operand.
     pub sends: Vec<(u8, SrcRef, u32)>,
@@ -276,52 +236,36 @@ pub struct DecodedProgram {
 /// operation, or a read of a register some *earlier* operation writes,
 /// disqualifies the instruction; write-after-write needs no check because
 /// both the record replay and the direct path apply writes in the same
-/// order. Send sources are excluded from the read set: they are captured
-/// into the transfer buffer before evaluation starts, so they can never
-/// observe an in-instruction write.
+/// order. Every operation's read set is `a`, `b` and `cond` (unread fields
+/// hold the never-written register zero or [`BREG_NONE`]). Send sources
+/// are not in it: they are captured into the transfer buffer before
+/// evaluation starts, so they can never observe an in-instruction write.
 fn classify_direct(ops: &[DecodedOp]) -> bool {
     let mut gpr_w = [0u64; MAX_CLUSTERS];
     let mut breg_w = 0u64;
-    let gpr_read = |w: &[u64; MAX_CLUSTERS], r: SrcRef| {
-        r != SRC_IMM && w[(r >> 6) as usize % MAX_CLUSTERS] >> (r & 63) & 1 != 0
-    };
-    let breg_read = |w: u64, b: u16| b != BREG_NONE && w >> (b & 63) & 1 != 0;
+    let gpr_bit = |r: u16| ((r >> 6) as usize % MAX_CLUSTERS, 1u64 << (r & 63));
     for op in ops {
-        match op.eval {
-            OpEval::Load { .. }
-            | OpEval::Store { .. }
-            | OpEval::CondBr { .. }
-            | OpEval::Goto { .. }
-            | OpEval::Halt => return false,
-            OpEval::Send | OpEval::Effectless => {}
-            OpEval::Recv { dst, .. } => {
-                if dst != DST_NONE {
-                    gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-                }
-            }
-            OpEval::AluGpr {
-                a, b, cond, dst, ..
-            } => {
-                if gpr_read(&gpr_w, a) || gpr_read(&gpr_w, b) || breg_read(breg_w, cond) {
-                    return false;
-                }
-                gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-            }
-            OpEval::SlctImm { cond, dst, .. } => {
-                if breg_read(breg_w, cond) {
-                    return false;
-                }
-                gpr_w[(dst >> 6) as usize % MAX_CLUSTERS] |= 1 << (dst & 63);
-            }
-            OpEval::AluBreg { a, b, dst, .. } => {
-                if gpr_read(&gpr_w, a) || gpr_read(&gpr_w, b) {
-                    return false;
-                }
-                breg_w |= 1 << (dst & 63);
-            }
-            OpEval::BregConst { dst, .. } => {
-                breg_w |= 1 << (dst & 63);
-            }
+        if op.rec_flags & F_MEM != 0
+            || matches!(
+                op.kind,
+                Kind::CondBrT | Kind::CondBrF | Kind::Goto | Kind::Halt
+            )
+        {
+            return false;
+        }
+        let read = |r: u16| {
+            let (c, bit) = gpr_bit(r);
+            gpr_w[c] & bit != 0
+        };
+        let cond_read = op.cond != BREG_NONE && breg_w >> (op.cond & 63) & 1 != 0;
+        if read(op.a) || read(op.b) || cond_read {
+            return false;
+        }
+        if op.rec_flags & F_GPR != 0 {
+            let (c, bit) = gpr_bit(op.dst());
+            gpr_w[c] |= bit;
+        } else if op.rec_flags & F_BREG != 0 {
+            breg_w |= 1 << (op.dst() & 63);
         }
     }
     true
@@ -333,8 +277,6 @@ impl DecodedProgram {
     /// run on every activation.
     pub fn decode(program: &Program) -> Self {
         let mut ops = Vec::with_capacity(program.total_ops() as usize);
-        let mut tops = Vec::with_capacity(program.total_ops() as usize);
-        let mut fns: Vec<EvalFn> = Vec::with_capacity(program.total_ops() as usize);
         let mut sends = Vec::new();
         let mut demands = Vec::new();
         let mut insts = Vec::with_capacity(program.len());
@@ -344,7 +286,6 @@ impl DecodedProgram {
             let send_start = sends.len() as u32;
             let demand_start = demands.len() as u32;
             let mut bundle_mask = 0u16;
-            let mut fused_mask = 0u16;
             let mut has_comm = false;
 
             for (c, bundle) in inst.bundles.iter().enumerate() {
@@ -360,7 +301,6 @@ impl DecodedProgram {
                     fu: [0; FuKind::COUNT],
                     packed: 0,
                 };
-                let mut dense = true;
                 for op in &bundle.ops {
                     if op.opcode.is_comm() {
                         has_comm = true;
@@ -369,23 +309,8 @@ impl DecodedProgram {
                         let (src, imm) = resolve_src(op.a);
                         sends.push((op.imm as u8 & 15, src, imm.unwrap_or(0)));
                     }
-                    let fu = op.fu_kind();
-                    demand.fu[fu.index()] += 1;
-                    let dop = DecodedOp {
-                        log_cluster: c as u8,
-                        fu,
-                        eval: decode_eval(op, program.len()),
-                    };
-                    // Threaded-code lowering: bind the evaluator and note
-                    // whether the bundle stays inside the fused dense set.
-                    let top = threaded::lower_op(&dop);
-                    dense &= top.k.dense();
-                    fns.push(threaded::kind_fn(top.k));
-                    tops.push(top);
-                    ops.push(dop);
-                }
-                if dense {
-                    fused_mask |= 1 << c;
+                    demand.fu[op.fu_kind().index()] += 1;
+                    ops.push(decode_op(op, c as u8, program.len()));
                 }
                 demand.packed = pack_demand(&demand.fu, demand.slots);
                 demands.push(demand);
@@ -396,7 +321,6 @@ impl DecodedProgram {
                 send_range: (send_start, sends.len() as u32),
                 demand_range: (demand_start, demands.len() as u32),
                 bundle_mask,
-                fused_mask,
                 has_comm,
                 direct: classify_direct(&ops[op_start as usize..]),
                 fetch_addr: program.inst_addr[idx],
@@ -406,8 +330,6 @@ impl DecodedProgram {
 
         DecodedProgram {
             ops,
-            tops,
-            fns,
             sends,
             demands,
             insts,
@@ -441,20 +363,6 @@ impl DecodedProgram {
     #[inline]
     pub fn ops_of(&self, di: &DecodedInst) -> &[DecodedOp] {
         &self.ops[di.op_range.0 as usize..di.op_range.1 as usize]
-    }
-
-    /// Threaded-code entries of an instruction, in activation order
-    /// (parallel to [`DecodedProgram::ops_of`]).
-    #[inline]
-    pub fn tops_of(&self, di: &DecodedInst) -> &[ThreadedOp] {
-        &self.tops[di.op_range.0 as usize..di.op_range.1 as usize]
-    }
-
-    /// Pre-bound evaluators of an instruction (parallel to
-    /// [`DecodedProgram::tops_of`]).
-    #[inline]
-    pub fn fns_of(&self, di: &DecodedInst) -> &[EvalFn] {
-        &self.fns[di.op_range.0 as usize..di.op_range.1 as usize]
     }
 
     /// Send sources of an instruction, for transfer value capture.
@@ -496,12 +404,11 @@ fn resolve_src(o: Operand) -> (SrcRef, Option<u32>) {
     }
 }
 
-/// Classifies one operation, mirroring the `match op.opcode` that
-/// `ThreadCtx::activate` performed per activation before pre-decoding.
-/// Beyond classification, every operand is resolved to a flat register
-/// index or an immediate ([`resolve_src`]), writes to the immutable
-/// register zero are dropped ([`DST_NONE`] / [`OpEval::Effectless`] — they
-/// were value-discarding no-ops in the legacy evaluator too), and ALU
+/// Decodes one operation of logical cluster `cluster`. Beyond
+/// classification, every operand is resolved to a flat register index or
+/// an immediate ([`resolve_src`]), writes to the immutable register zero
+/// are dropped ([`Kind::Effectless`], or a load/`recv` without `F_GPR` —
+/// they were value-discarding no-ops in the legacy evaluator too), and ALU
 /// operations over two immediates are folded to their constant result.
 ///
 /// Control targets outside the program (possible only for programs that
@@ -509,138 +416,170 @@ fn resolve_src(o: Operand) -> (SrcRef, Option<u32>) {
 /// `program_len`: any out-of-range `pc` behaves identically (the engine's
 /// fell-off-the-end path), and the clamp keeps targets clear of the
 /// record encoding's `u32` control sentinels.
-fn decode_eval(op: &vex_isa::Operation, program_len: usize) -> OpEval {
-    let gpr_dst = |d: Dest| -> u16 {
-        match d {
-            // Register zero is immutable: the legacy path evaluated the
-            // value and discarded it at commit, so dropping the write here
-            // is observationally identical.
-            Dest::Gpr(r) if r.index != 0 => gpr_flat(r.cluster, r.index),
-            _ => DST_NONE,
-        }
+fn decode_op(op: &vex_isa::Operation, cluster: u8, program_len: usize) -> DecodedOp {
+    let mut d = DecodedOp {
+        kind: Kind::Effectless,
+        rec_flags: F_PENDING,
+        a: 0,
+        b: 0,
+        cond: BREG_NONE,
+        statics: ((cluster as u32) << 16) | ((op.fu_kind().index() as u32) << 24),
+        imm: 0,
+        imm2: 0,
     };
-    let breg_cond = |o: Operand| -> u16 {
+    // Register zero is immutable: the legacy path evaluated the value and
+    // discarded it at commit, so dropping the write here is
+    // observationally identical.
+    let gpr_dst = match op.dst {
+        Dest::Gpr(r) if r.index != 0 => Some(gpr_flat(r.cluster, r.index)),
+        _ => None,
+    };
+    let breg_cond = |o: Operand| -> u8 {
         match o {
-            Operand::Breg(b) => b.cluster as u16 * 8 + b.index as u16,
+            // Masked like every branch-register read, so it never
+            // collides with the sentinel.
+            Operand::Breg(b) => {
+                ((b.cluster as usize * 8 + b.index as usize) & (MAX_CLUSTERS * 8 - 1)) as u8
+            }
             _ => BREG_NONE,
         }
     };
-    let target = |imm: i32| -> usize { (imm as usize).min(program_len) };
+    let write_gpr = |d: &mut DecodedOp, dst: u16| {
+        d.rec_flags |= F_GPR;
+        d.statics |= dst as u32;
+    };
+    // An immediate base folds into the offset; flat index 0 reads zero, so
+    // the address stays `a + imm`.
+    let address = |d: &mut DecodedOp| {
+        let (base, base_imm) = resolve_src(op.a);
+        d.a = if base_imm.is_some() { 0 } else { base };
+        d.imm = (op.imm as u32).wrapping_add(base_imm.unwrap_or(0));
+        d.rec_flags |= F_MEM;
+    };
 
-    match op.opcode {
+    d.kind = match op.opcode {
         o if o.is_load() => {
-            let (base, base_imm) = resolve_src(op.a);
-            OpEval::Load {
-                width: match o {
-                    Opcode::Ldw => LoadWidth::W,
-                    Opcode::Ldh => LoadWidth::H,
-                    Opcode::Ldhu => LoadWidth::Hu,
-                    Opcode::Ldb => LoadWidth::B,
-                    Opcode::Ldbu => LoadWidth::Bu,
-                    _ => unreachable!(),
-                },
-                // An immediate base folds into the offset; flat index 0
-                // reads zero, so the addition stays `base + off`.
-                base: if base_imm.is_some() { 0 } else { base },
-                off: (op.imm as u32).wrapping_add(base_imm.unwrap_or(0)),
-                dst: gpr_dst(op.dst),
+            address(&mut d);
+            if let Some(dst) = gpr_dst {
+                write_gpr(&mut d, dst);
+            }
+            match o {
+                Opcode::Ldw => Kind::LdW,
+                Opcode::Ldh => Kind::LdH,
+                Opcode::Ldhu => Kind::LdHu,
+                Opcode::Ldb => Kind::LdB,
+                _ => Kind::LdBu,
             }
         }
         o if o.is_store() => {
-            let (base, base_imm) = resolve_src(op.a);
-            let (value, val_imm) = resolve_src(op.b);
-            OpEval::Store {
-                size: match o {
-                    Opcode::Stw => 4,
-                    Opcode::Sth => 2,
-                    _ => 1,
-                },
-                base: if base_imm.is_some() { 0 } else { base },
-                off: (op.imm as u32).wrapping_add(base_imm.unwrap_or(0)),
-                value,
-                val_imm: val_imm.unwrap_or(0),
+            address(&mut d);
+            let size_log2: u8 = match o {
+                Opcode::Stw => 2,
+                Opcode::Sth => 1,
+                _ => 0,
+            };
+            d.rec_flags |= F_STORE | size_log2 << F_SIZE_SHIFT;
+            match resolve_src(op.b) {
+                (_, Some(v)) => {
+                    d.imm2 = v;
+                    Kind::StI
+                }
+                (value, None) => {
+                    d.b = value;
+                    Kind::StR
+                }
             }
         }
-        Opcode::Send => OpEval::Send,
-        Opcode::Recv => OpEval::Recv {
-            pair: op.imm as u8 & 15,
-            dst: gpr_dst(op.dst),
-        },
-        Opcode::Br => OpEval::CondBr {
-            cond: breg_cond(op.a),
-            target: target(op.imm),
-            taken_if: true,
-        },
-        Opcode::Brf => OpEval::CondBr {
-            cond: breg_cond(op.a),
-            target: target(op.imm),
-            taken_if: false,
-        },
-        Opcode::Goto => OpEval::Goto {
-            target: target(op.imm),
-        },
-        Opcode::Halt => OpEval::Halt,
+        Opcode::Send => Kind::Send,
+        Opcode::Recv => {
+            d.imm = op.imm as u32 & 15;
+            if let Some(dst) = gpr_dst {
+                write_gpr(&mut d, dst);
+            }
+            Kind::Recv
+        }
+        o @ (Opcode::Br | Opcode::Brf | Opcode::Goto) => {
+            d.imm = (op.imm as usize).min(program_len) as u32;
+            if o == Opcode::Goto {
+                Kind::Goto
+            } else {
+                d.cond = breg_cond(op.a);
+                if o == Opcode::Br {
+                    Kind::CondBrT
+                } else {
+                    Kind::CondBrF
+                }
+            }
+        }
+        Opcode::Halt => Kind::Halt,
         o => {
             let (a, a_imm) = resolve_src(op.a);
             let (b, b_imm) = resolve_src(op.b);
-            let imm = a_imm.or(b_imm).unwrap_or(0);
-            match op.dst {
-                Dest::Gpr(d) if d.index != 0 => {
-                    let cond = breg_cond(op.c);
-                    let dst = gpr_flat(d.cluster, d.index);
-                    match (a_imm, b_imm) {
-                        (Some(ia), Some(ib)) if o == Opcode::Slct => OpEval::SlctImm {
-                            a: ia,
-                            b: ib,
-                            cond,
-                            dst,
-                        },
-                        (Some(ia), Some(ib)) => OpEval::AluGpr {
-                            // Constant under any condition (only `slct`
-                            // reads `cond`): fold to a move of the result.
-                            op: Opcode::Mov,
-                            a: SRC_IMM,
-                            b: 0,
-                            imm: crate::exec::eval(o, ia, ib, false),
-                            cond,
-                            dst,
-                        },
-                        _ => OpEval::AluGpr {
-                            op: o,
-                            a,
-                            b,
-                            imm,
-                            cond,
-                            dst,
-                        },
+            d.imm = a_imm.or(b_imm).unwrap_or(0);
+            // Operand shape: which of the two sources is the immediate.
+            let shape = |d: &mut DecodedOp, rr: Kind, ri: Kind, ir: Kind| match a_imm {
+                None if b_imm.is_none() => {
+                    (d.a, d.b) = (a, b);
+                    rr
+                }
+                None => {
+                    d.a = a;
+                    ri
+                }
+                Some(_) => {
+                    d.b = b;
+                    ir
+                }
+            };
+            let folded = a_imm.zip(b_imm);
+            match (op.dst, gpr_dst) {
+                (Dest::Gpr(_), Some(dst)) => {
+                    write_gpr(&mut d, dst);
+                    match (o, folded) {
+                        // Two immediates cannot fold: the outcome still
+                        // depends on the branch register at activation.
+                        (Opcode::Slct, Some((_, ib))) => {
+                            d.cond = breg_cond(op.c);
+                            d.imm2 = ib;
+                            Kind::SlctII
+                        }
+                        (Opcode::Slct, None) => {
+                            d.cond = breg_cond(op.c);
+                            shape(&mut d, Kind::SlctRR, Kind::SlctRI, Kind::SlctIR)
+                        }
+                        // Constant under any condition (only `slct` reads
+                        // it): fold to a move of the result.
+                        (_, Some((ia, ib))) => {
+                            d.imm = o.eval(ia, ib, false);
+                            Kind::AluIR(Opcode::Mov)
+                        }
+                        (_, None) => shape(&mut d, Kind::AluRR(o), Kind::AluRI(o), Kind::AluIR(o)),
                     }
                 }
-                Dest::Breg(d) => {
-                    let dst = d.cluster as u16 * 8 + d.index as u16;
-                    match (a_imm, b_imm) {
-                        (Some(ia), Some(ib)) => OpEval::BregConst {
-                            v: crate::exec::eval_cond(o, ia, ib),
-                            dst,
-                        },
-                        _ => OpEval::AluBreg {
-                            op: o,
-                            a,
-                            b,
-                            imm,
-                            dst,
-                        },
+                (Dest::Breg(r), _) => {
+                    d.rec_flags |= F_BREG;
+                    d.statics |= (r.cluster as u16 * 8 + r.index as u16) as u32;
+                    match folded {
+                        Some((ia, ib)) => {
+                            if o.eval_cond(ia, ib) {
+                                d.rec_flags |= F_BREG_VAL;
+                            }
+                            Kind::BregConst
+                        }
+                        None => shape(&mut d, Kind::CmpRR(o), Kind::CmpRI(o), Kind::CmpIR(o)),
                     }
                 }
-                _ => OpEval::Effectless,
+                _ => Kind::Effectless,
             }
         }
-    }
+    };
+    d
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vex_isa::{Instruction, Operation, Reg};
+    use vex_isa::{BReg, Instruction, Operation, Reg};
 
     fn program() -> Program {
         let ld = Operation::load(Opcode::Ldh, Reg::new(1, 3), Reg::new(1, 2), 8);
@@ -661,6 +600,30 @@ mod tests {
             ],
             vec![],
         )
+    }
+
+    /// Decodes `ops` as instruction 0 (bundle `c` holds the ops tagged
+    /// `c`) of a program that halts next.
+    fn decode_inst<const N: usize>(ops: [(u8, Operation); N]) -> DecodedProgram {
+        let mut halt = Instruction::nop(4);
+        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
+        let inst = Instruction::from_ops(4, ops);
+        DecodedProgram::decode(&Program::new("t", vec![inst, halt], vec![]))
+    }
+
+    fn gpr(i: u8) -> Operand {
+        Operand::Gpr(Reg::new(0, i))
+    }
+
+    fn mov(dst: u8, src: Operand) -> Operation {
+        Operation::bin(Opcode::Mov, Reg::new(0, dst), src, Operand::None)
+    }
+
+    /// The table entry is hot-loop traffic: 16 ops × 20 bytes span five
+    /// cache lines per activation. Growth here is a perf regression.
+    #[test]
+    fn decoded_op_is_20_bytes() {
+        assert_eq!(std::mem::size_of::<DecodedOp>(), 20);
     }
 
     #[test]
@@ -685,8 +648,8 @@ mod tests {
 
         let i2 = d.inst(2);
         assert_eq!(d.ops_of(i2).len(), 1);
-        assert_eq!(d.ops_of(i2)[0].eval, OpEval::Halt);
-        assert_eq!(d.ops_of(i2)[0].fu, FuKind::Br);
+        assert_eq!(d.ops_of(i2)[0].kind, Kind::Halt);
+        assert_eq!(d.ops_of(i2)[0].fu(), FuKind::Br);
     }
 
     #[test]
@@ -694,25 +657,116 @@ mod tests {
         let p = program();
         let d = DecodedProgram::decode(&p);
         let ops = d.ops_of(d.inst(0));
-        assert_eq!(ops[0].eval, OpEval::Send);
-        assert_eq!(ops[0].fu, FuKind::Send);
-        assert_eq!(
-            ops[1].eval,
-            OpEval::Load {
-                width: LoadWidth::H,
-                base: 64 + 2, // flat r1.2
-                off: 8,
-                dst: 64 + 3, // flat r1.3
-            }
+        assert_eq!(ops[0].kind, Kind::Send);
+        assert_eq!(ops[0].fu(), FuKind::Send);
+        assert_eq!(ops[1].kind, Kind::LdH);
+        assert_eq!(ops[1].a, 64 + 2); // flat r1.2
+        assert_eq!(ops[1].imm, 8);
+        assert_eq!(ops[1].dst(), 64 + 3); // flat r1.3
+        assert_eq!(ops[1].rec_flags, F_PENDING | F_MEM | F_GPR);
+        assert_eq!(ops[2].kind, Kind::Recv);
+        assert_eq!(ops[2].imm, 3);
+        assert_eq!(ops[2].dst(), 2 * 64 + 4); // flat r2.4
+        assert_eq!(ops[1].log_cluster(), 1);
+        assert_eq!(ops[2].log_cluster(), 2);
+    }
+
+    /// Operations land in the kind their effect class and operand shape
+    /// name, with two-immediate operations folded at decode.
+    #[test]
+    fn kind_classification() {
+        let kind = |o: Operation| decode_inst([(0, o)]).ops[0].kind;
+        let add = |a, b| Operation::bin(Opcode::Add, Reg::new(0, 3), a, b);
+        assert_eq!(kind(add(gpr(1), gpr(2))), Kind::AluRR(Opcode::Add));
+        assert_eq!(kind(add(gpr(1), Operand::Imm(5))), Kind::AluRI(Opcode::Add));
+        assert_eq!(kind(add(Operand::Imm(5), gpr(2))), Kind::AluIR(Opcode::Add));
+        let folded = decode_inst([(0, add(Operand::Imm(5), Operand::Imm(7)))]).ops[0];
+        assert_eq!((folded.kind, folded.imm), (Kind::AluIR(Opcode::Mov), 12));
+        // Register zero as the destination drops the write entirely.
+        let mut to_zero = add(gpr(1), gpr(2));
+        to_zero.dst = Dest::Gpr(Reg::new(0, 0));
+        assert_eq!(kind(to_zero), Kind::Effectless);
+
+        let mut cmp = Operation::bin(Opcode::CmpLt, Reg::new(0, 3), gpr(1), Operand::Imm(4));
+        cmp.dst = Dest::Breg(BReg::new(0, 1));
+        assert_eq!(kind(cmp.clone()), Kind::CmpRI(Opcode::CmpLt));
+        cmp.a = Operand::Imm(3);
+        let folded = decode_inst([(0, cmp)]).ops[0];
+        assert_eq!(folded.kind, Kind::BregConst);
+        assert_ne!(folded.rec_flags & F_BREG_VAL, 0, "3 < 4 folds to true");
+
+        let mut slct = Operation::bin(
+            Opcode::Slct,
+            Reg::new(0, 3),
+            Operand::Imm(1),
+            Operand::Imm(2),
         );
-        assert_eq!(
-            ops[2].eval,
-            OpEval::Recv {
-                pair: 3,
-                dst: 2 * 64 + 4, // flat r2.4
-            }
+        slct.c = Operand::Breg(BReg::new(0, 0));
+        assert_eq!(kind(slct), Kind::SlctII);
+        let ld = Operation::load(Opcode::Ldhu, Reg::new(0, 3), Reg::new(0, 2), 4);
+        assert_eq!(kind(ld), Kind::LdHu);
+        let st = Operation::store(Opcode::Sth, Reg::new(0, 2), 4, Operand::Imm(9));
+        assert_eq!(kind(st), Kind::StI);
+        let mut send = Operation::new(Opcode::Send);
+        send.a = gpr(1);
+        assert_eq!(kind(send), Kind::Send);
+    }
+
+    /// The direct-apply classifier admits exactly the instructions whose
+    /// in-order immediate application equals evaluate-then-commit.
+    #[test]
+    fn direct_apply_classification() {
+        let direct = |d: DecodedProgram| d.inst(0).direct;
+        // Independent writes, including a write-after-read of r5: direct.
+        assert!(direct(decode_inst([
+            (0, mov(3, gpr(5))),
+            (0, mov(5, gpr(4)))
+        ])));
+        // A register swap reads r3 after the first move writes it: the
+        // immediate write would be visible, so it takes the record path.
+        assert!(!direct(decode_inst([
+            (0, mov(3, gpr(5))),
+            (0, mov(5, gpr(3)))
+        ])));
+        // Intra-instruction RAW on a GPR, across bundles too.
+        let add = Operation::bin(
+            Opcode::Add,
+            Reg::new(1, 4),
+            Operand::Gpr(Reg::new(0, 3)),
+            Operand::Imm(1),
         );
-        assert_eq!(ops[1].log_cluster, 1);
-        assert_eq!(ops[2].log_cluster, 2);
+        assert!(!direct(decode_inst([
+            (0, mov(3, gpr(5))),
+            (1, add.clone())
+        ])));
+        // ...while the same read *before* the write is fine.
+        assert!(direct(decode_inst([(0, add), (1, mov(3, gpr(5)))])));
+
+        // A branch-register write read by a later `slct`.
+        let mut cmp = Operation::bin(Opcode::CmpEq, Reg::new(0, 0), gpr(1), gpr(2));
+        cmp.dst = Dest::Breg(BReg::new(0, 1));
+        let mut slct = Operation::bin(Opcode::Slct, Reg::new(0, 3), gpr(1), gpr(2));
+        slct.c = Operand::Breg(BReg::new(0, 1));
+        assert!(!direct(decode_inst([(0, cmp.clone()), (0, slct.clone())])));
+        slct.c = Operand::Breg(BReg::new(0, 2));
+        assert!(direct(decode_inst([(0, cmp), (0, slct)])));
+
+        // Any load, store or control operation.
+        let ld = Operation::load(Opcode::Ldw, Reg::new(0, 3), Reg::new(0, 2), 0);
+        let st = Operation::store(Opcode::Stw, Reg::new(0, 2), 0, gpr(1));
+        for op in [
+            ld,
+            st,
+            Operation::new(Opcode::Goto),
+            Operation::new(Opcode::Halt),
+        ] {
+            assert!(
+                !direct(decode_inst([(0, mov(6, gpr(7))), (1, op.clone())])),
+                "{op}"
+            );
+        }
+        let mut br = Operation::new(Opcode::Br);
+        br.a = Operand::Breg(BReg::new(0, 0));
+        assert!(!direct(decode_inst([(0, br)])));
     }
 }

@@ -823,8 +823,6 @@ impl Engine {
             p.issue_scans += t.issue_scans;
             p.eval_activations += t.eval_activations;
             p.eval_ops += t.eval_ops;
-            p.eval_fused_bundles += t.eval_fused_bundles;
-            p.eval_table_ops += t.eval_table_ops;
         }
         p
     }
@@ -876,7 +874,7 @@ struct IssueOutcome {
 /// wherever bundles cannot split, using the pre-decoded
 /// [`ClusterDemand`] tables ([`Packet::place_bundle`]); only the
 /// operation-level split path still walks individual operations — off the
-/// static threaded-op table plus the [`InFlight::pending_ops`] bitmask for
+/// static decoded-op table plus the [`InFlight::pending_ops`] bitmask for
 /// direct (record-less) instructions, or the in-flight records (from the
 /// [`InFlight::first_pending`] cursor) otherwise. Data-cache probes step
 /// through records in table order in every path, so the cache's access
@@ -1032,13 +1030,13 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
         }
     } else if fl.records.is_empty() {
         // Operation-level split of a *direct* instruction: no records were
-        // materialized, so the walk runs off the static threaded-op table
+        // materialized, so the walk runs off the static decoded-op table
         // and the pending-op bitmask. Table order, placement checks and
         // packet updates are identical to the record walk below; direct
         // instructions carry no memory operations, so there are no cache
         // probes or buffered stores to account for.
         let di = &decoded.insts[fl.inst_idx];
-        let tops = decoded.tops_of(di);
+        let ops = decoded.ops_of(di);
         let mut bits = fl.pending_ops;
         *issue_scans += u64::from(bits.count_ones());
         let packet_empty = packet.busy_mask() == 0;
@@ -1047,16 +1045,16 @@ fn issue_thread<const MERGE_OP: bool, const SPLIT: u8>(
             let i = bits.trailing_zeros() as usize;
             let bit = 1u64 << i;
             bits &= !bit;
-            let top = &tops[i];
-            let p = phys(top.log_cluster());
-            if packet_empty || packet.op_fits(p, top.fu(), &cfg.machine) {
-                packet.place_op(p, top.fu());
+            let op = &ops[i];
+            let p = phys(op.log_cluster());
+            if packet_empty || packet.op_fits(p, op.fu(), &cfg.machine) {
+                packet.place_op(p, op.fu());
                 placed |= 1 << p;
                 fl.pending_ops &= !bit;
                 issued_now += 1;
                 fl.n_pending -= 1;
             } else {
-                mask |= 1 << top.log_cluster();
+                mask |= 1 << op.log_cluster();
             }
         }
         fl.pending_bundles = mask;

@@ -1,96 +1,126 @@
-//! ISA-level functional semantics.
+//! Activation-time evaluation: one `match` over a [`DecodedOp`]'s
+//! [`Kind`] computes the operation's values against pre-instruction state
+//! and builds its [`OpRecord`].
 //!
-//! These evaluators are deliberately written independently of the
-//! compiler's IR interpreter (`vex_compiler::verify::interpret`); the test
-//! suite cross-checks the two, so a semantics bug in either layer surfaces
-//! as a divergence.
+//! By the paper's §V-B rule no effect of a partly issued instruction is
+//! visible before its last part issues, so the engine evaluates each
+//! instruction whole at activation and issue is a pure timing event: how
+//! a value is computed here never changes what issues when. ALU semantics
+//! come from [`vex_isa::Opcode::eval`], the single source shared with the
+//! oracle and the analyzer.
 
-use vex_isa::Opcode;
+use crate::decode::{DecodedOp, Kind, BREG_NONE};
+use crate::packet::MAX_CLUSTERS;
+use crate::thread::{BregFile, GprFile, OpRecord, CTRL_HALT, CTRL_NONE, F_BREG_VAL, F_GPR};
+use vex_mem::Memory;
 
-/// Evaluates a register-result operation from its source values.
-/// `a`/`b` are the GPR/immediate operands, `c` the branch-register operand
-/// (selects). Compares return 0/1. Must not be called for memory, control
-/// or communication opcodes.
-pub fn eval(opcode: Opcode, a: u32, b: u32, c: bool) -> u32 {
-    use Opcode::*;
-    match opcode {
-        Add => a.wrapping_add(b),
-        Sub => a.wrapping_sub(b),
-        And => a & b,
-        Or => a | b,
-        Xor => a ^ b,
-        Andc => a & !b,
-        Shl => a.wrapping_shl(b & 31),
-        Shr => a.wrapping_shr(b & 31),
-        Sra => (a as i32).wrapping_shr(b & 31) as u32,
-        Min => (a as i32).min(b as i32) as u32,
-        Max => (a as i32).max(b as i32) as u32,
-        Minu => a.min(b),
-        Maxu => a.max(b),
-        Mov => a,
-        Sxtb => a as u8 as i8 as i32 as u32,
-        Sxth => a as u16 as i16 as i32 as u32,
-        Zxtb => a & 0xff,
-        Zxth => a & 0xffff,
-        Slct => {
-            if c {
-                a
+/// Everything an evaluation may read: the (stable, pre-instruction)
+/// architectural state plus the send-value capture buffer. All borrows are
+/// shared — evaluation never writes architectural state (§V-B: effects are
+/// delay-buffered in [`OpRecord`]s until commit).
+pub struct EvalCtx<'a> {
+    /// Flat GPR file of the activating context.
+    pub(crate) regs: &'a GprFile,
+    /// Flat branch-register file.
+    pub(crate) bregs: &'a BregFile,
+    /// Functional memory (the read-side API takes `&self`).
+    pub(crate) mem: &'a Memory,
+    /// Send values captured before evaluation, indexed by pair id.
+    pub(crate) xfer: &'a [u32; 16],
+}
+
+impl EvalCtx<'_> {
+    /// Flat GPR read (register-zero slots are never written, so the
+    /// architectural zero falls out of the array). The mask makes the
+    /// bound obvious to the optimiser; decode validated the index.
+    #[inline(always)]
+    fn reg(&self, i: u16) -> u32 {
+        self.regs[i as usize & (MAX_CLUSTERS * 64 - 1)]
+    }
+
+    /// Flat branch-register read; [`BREG_NONE`] reads false.
+    #[inline(always)]
+    fn breg(&self, i: u8) -> bool {
+        i != BREG_NONE && self.bregs[i as usize & (MAX_CLUSTERS * 8 - 1)]
+    }
+}
+
+/// Evaluates one operation into its record. Loads read memory here, so
+/// the value lands in the record and the data-cache probe at `mem_addr`
+/// stays a timing event at issue; a load whose destination folded away
+/// (register zero) skips the read.
+#[inline(always)]
+pub(crate) fn eval(op: &DecodedOp, cx: &EvalCtx) -> OpRecord {
+    let mut r = OpRecord {
+        val: 0,
+        mem_addr: 0,
+        ctrl: CTRL_NONE,
+        statics: op.statics,
+        flags: op.rec_flags,
+    };
+    let cond = |v: bool| if v { F_BREG_VAL } else { 0 };
+    let addr = || cx.reg(op.a).wrapping_add(op.imm);
+    let load = |r: &mut OpRecord, read: fn(&Memory, u32) -> u32| {
+        r.mem_addr = addr();
+        if op.rec_flags & F_GPR != 0 {
+            r.val = read(cx.mem, r.mem_addr);
+        }
+    };
+    match op.kind {
+        Kind::AluRR(o) => r.val = o.eval(cx.reg(op.a), cx.reg(op.b), false),
+        Kind::AluRI(o) => r.val = o.eval(cx.reg(op.a), op.imm, false),
+        Kind::AluIR(o) => r.val = o.eval(op.imm, cx.reg(op.b), false),
+        Kind::CmpRR(o) => r.flags |= cond(o.eval_cond(cx.reg(op.a), cx.reg(op.b))),
+        Kind::CmpRI(o) => r.flags |= cond(o.eval_cond(cx.reg(op.a), op.imm)),
+        Kind::CmpIR(o) => r.flags |= cond(o.eval_cond(op.imm, cx.reg(op.b))),
+        Kind::SlctRR => {
+            r.val = if cx.breg(op.cond) {
+                cx.reg(op.a)
             } else {
-                b
+                cx.reg(op.b)
             }
         }
-        Mull => a.wrapping_mul(b),
-        Mulh => (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32,
-        CmpEq => (a == b) as u32,
-        CmpNe => (a != b) as u32,
-        CmpLt => ((a as i32) < (b as i32)) as u32,
-        CmpLe => ((a as i32) <= (b as i32)) as u32,
-        CmpGt => ((a as i32) > (b as i32)) as u32,
-        CmpGe => ((a as i32) >= (b as i32)) as u32,
-        CmpLtu => (a < b) as u32,
-        CmpGeu => (a >= b) as u32,
-        _ => unreachable!("eval() called for non-ALU opcode {opcode:?}"),
+        Kind::SlctRI => {
+            r.val = if cx.breg(op.cond) {
+                cx.reg(op.a)
+            } else {
+                op.imm
+            }
+        }
+        Kind::SlctIR => {
+            r.val = if cx.breg(op.cond) {
+                op.imm
+            } else {
+                cx.reg(op.b)
+            }
+        }
+        Kind::SlctII => r.val = if cx.breg(op.cond) { op.imm } else { op.imm2 },
+        Kind::LdW => load(&mut r, Memory::read_u32),
+        Kind::LdH => load(&mut r, |m, a| m.read_u16(a) as i16 as i32 as u32),
+        Kind::LdHu => load(&mut r, |m, a| m.read_u16(a) as u32),
+        Kind::LdB => load(&mut r, |m, a| m.read_u8(a) as i8 as i32 as u32),
+        Kind::LdBu => load(&mut r, |m, a| m.read_u8(a) as u32),
+        Kind::StR => {
+            r.mem_addr = addr();
+            r.val = cx.reg(op.b);
+        }
+        Kind::StI => {
+            r.mem_addr = addr();
+            r.val = op.imm2;
+        }
+        Kind::CondBrT if cx.breg(op.cond) => r.ctrl = op.imm,
+        Kind::CondBrF if !cx.breg(op.cond) => r.ctrl = op.imm,
+        Kind::Goto => r.ctrl = op.imm,
+        Kind::Halt => r.ctrl = CTRL_HALT,
+        Kind::Recv if op.rec_flags & F_GPR != 0 => r.val = cx.xfer[op.imm as usize & 15],
+        // Fully static (`BregConst` carries its value in the flag byte),
+        // effect-free, or a branch not taken.
+        Kind::CondBrT
+        | Kind::CondBrF
+        | Kind::Recv
+        | Kind::BregConst
+        | Kind::Send
+        | Kind::Effectless => {}
     }
-}
-
-/// Truth value of a compare (for branch-register destinations).
-pub fn eval_cond(opcode: Opcode, a: u32, b: u32) -> bool {
-    eval(opcode, a, b, false) != 0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matches_compiler_semantics() {
-        // Spot checks mirroring vex_compiler::verify::eval_bin tests.
-        assert_eq!(eval(Opcode::Sra, 0xffff_fff0, 2, false), 0xffff_fffc);
-        assert_eq!(eval(Opcode::Shr, 0xffff_fff0, 2, false), 0x3fff_fffc);
-        assert_eq!(eval(Opcode::Mulh, 0x8000_0000, 2, false), 0xffff_ffff);
-        assert_eq!(eval(Opcode::Min, 0xffff_ffff, 1, false), 0xffff_ffff);
-        assert_eq!(eval(Opcode::Minu, 0xffff_ffff, 1, false), 1);
-        assert_eq!(eval(Opcode::Andc, 0b1100, 0b1010, false), 0b0100);
-    }
-
-    #[test]
-    fn extensions() {
-        assert_eq!(eval(Opcode::Sxtb, 0x80, 0, false), 0xffff_ff80);
-        assert_eq!(eval(Opcode::Zxtb, 0x1ff, 0, false), 0xff);
-        assert_eq!(eval(Opcode::Sxth, 0x8000, 0, false), 0xffff_8000);
-        assert_eq!(eval(Opcode::Zxth, 0x1_ffff, 0, false), 0xffff);
-    }
-
-    #[test]
-    fn select_uses_condition() {
-        assert_eq!(eval(Opcode::Slct, 1, 2, true), 1);
-        assert_eq!(eval(Opcode::Slct, 1, 2, false), 2);
-    }
-
-    #[test]
-    fn compares_signed_vs_unsigned() {
-        assert!(eval_cond(Opcode::CmpLt, u32::MAX, 0)); // -1 < 0
-        assert!(!eval_cond(Opcode::CmpLtu, u32::MAX, 0));
-        assert!(eval_cond(Opcode::CmpGeu, u32::MAX, 0));
-    }
+    r
 }

@@ -54,12 +54,11 @@ pub mod rng;
 pub mod stats;
 pub mod table;
 pub mod thread;
-pub mod threaded;
 
 pub use config::{
     CommPolicy, MemoryMode, MergePolicy, MtMode, Scale, SimConfig, SplitPolicy, Technique,
 };
-pub use decode::{DecodedInst, DecodedOp, DecodedProgram, OpEval};
+pub use decode::{DecodedInst, DecodedOp, DecodedProgram, Kind};
 pub use engine::{Engine, PreparedProgram, StopReason};
 pub use oracle::{interpret, OracleState};
 pub use packet::{can_merge_pair, merge_hierarchy_holds, Packet, MAX_CLUSTERS};
@@ -68,7 +67,6 @@ pub use report::{attribution_json, render_attribution};
 pub use stats::{speedup_pct, SimStats, ThreadStats};
 pub use table::{Align, Table};
 pub use thread::ThreadCtx;
-pub use threaded::{kind_fn, EvalFn, Kind, ThreadedOp};
 pub use vex_mem::MemConfig;
 // The trace stream's types are part of the simulator's public surface
 // (`Engine::set_tracer` takes a `TraceSink`); re-export the crate so
@@ -83,30 +81,17 @@ use vex_isa::Program;
 
 /// Runs a multiprogrammed workload under `cfg` and returns the statistics.
 pub fn run_workload(cfg: &SimConfig, programs: &[Arc<Program>]) -> SimStats {
-    let (engine, _) = run_programs(cfg, programs);
+    let mut engine = Engine::new(cfg.clone(), programs);
+    engine.run();
     engine.stats
 }
 
-/// Runs a workload under `cfg` and returns the finished engine (for
-/// architectural-state inspection: register files, memory digests) along
-/// with the stop reason. This is the single entry point the `vex` CLI
-/// drives; [`run_workload`] and [`run_single`] are conveniences over it.
-pub fn run_programs(cfg: &SimConfig, programs: &[Arc<Program>]) -> (Engine, StopReason) {
-    let mut engine = Engine::new(cfg.clone(), programs);
-    let reason = engine.run();
-    (engine, reason)
-}
-
 /// Runs a workload of pre-decoded programs under `cfg` and returns the
-/// statistics. Sweep harnesses use this entry so one [`PreparedProgram`]
-/// decode serves every grid point the program appears in.
-pub fn run_prepared(cfg: &SimConfig, workload: &[PreparedProgram]) -> SimStats {
-    run_prepared_full(cfg, workload).0
-}
-
-/// [`run_prepared`] plus the [`StopReason`] — the crash-safe sweep runner
-/// needs to record whether a point terminated normally or was cut off by
-/// the `max_cycles` watchdog ([`StopReason::Exhausted`]).
+/// statistics plus the [`StopReason`]. Sweep harnesses use this entry so
+/// one [`PreparedProgram`] decode serves every grid point the program
+/// appears in, and the crash-safe sweep runner records whether a point
+/// terminated normally or was cut off by the `max_cycles` watchdog
+/// ([`StopReason::Exhausted`]).
 pub fn run_prepared_full(cfg: &SimConfig, workload: &[PreparedProgram]) -> (SimStats, StopReason) {
     let mut engine = Engine::with_prepared(cfg.clone(), workload);
     let reason = engine.run();

@@ -55,12 +55,6 @@ pub struct Profile {
     pub eval_activations: u64,
     /// Evaluation phase: operations evaluated across all activations.
     pub eval_ops: u64,
-    /// Evaluation phase: bundles batch-evaluated by the fused threaded-code
-    /// evaluator (all kinds dense).
-    pub eval_fused_bundles: u64,
-    /// Evaluation phase: operations evaluated through per-op closure-table
-    /// entries (bundles with a non-dense kind, e.g. send/recv).
-    pub eval_table_ops: u64,
 }
 
 impl Profile {
@@ -77,15 +71,6 @@ impl Profile {
     /// Average operations evaluated per activation.
     pub fn ops_per_activation(&self) -> f64 {
         ratio(self.eval_ops, self.eval_activations)
-    }
-
-    /// Fraction of evaluated operations that went through the fused
-    /// bundle evaluator (as opposed to per-op table calls), in [0, 1].
-    pub fn fused_op_rate(&self) -> f64 {
-        ratio(
-            self.eval_ops.saturating_sub(self.eval_table_ops),
-            self.eval_ops,
-        )
     }
 
     /// Average table entries examined per simulated cycle.
@@ -152,17 +137,13 @@ impl Profile {
                 scans(self.cycles, "cycle")
             ),
         ]);
-        let fused_ops = self.eval_ops.saturating_sub(self.eval_table_ops);
         t.row([
             "activations".to_string(),
             self.eval_activations.to_string(),
             "ops evaluated".to_string(),
             self.eval_ops.to_string(),
-            format!("({})", pct_or_na(fused_ops, self.eval_ops, 1)),
-            format!(
-                "fused — bundles {} fused, table ops {}",
-                self.eval_fused_bundles, self.eval_table_ops
-            ),
+            String::new(),
+            String::new(),
         ]);
         format!("## simulator fast-path profile\n{}", t.render())
     }

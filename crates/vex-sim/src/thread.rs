@@ -18,9 +18,9 @@
 //! timing event, and commit replays the recorded effects.
 
 use crate::decode::{DecodedProgram, SrcRef, SRC_IMM};
+use crate::exec::{eval, EvalCtx};
 use crate::packet::MAX_CLUSTERS;
 use crate::stats::ThreadStats;
-use crate::threaded::{eval_dense, EvalCtx};
 use std::sync::Arc;
 use vex_isa::{FuKind, Program};
 use vex_mem::Memory;
@@ -83,7 +83,7 @@ pub struct OpRecord {
     /// Control effect: `CTRL_NONE`, `CTRL_HALT`, or a taken-branch target.
     pub(crate) ctrl: u32,
     /// Packed static half, copied verbatim from
-    /// [`crate::threaded::ThreadedOp::statics`]: flat destination index in
+    /// [`crate::decode::DecodedOp::statics`]: flat destination index in
     /// the low 16 bits, logical cluster in bits 16..24, FU-class index in
     /// bits 24..32. One word move instead of three field moves in the
     /// per-record constructor — which profiles as the hottest line of the
@@ -203,9 +203,9 @@ pub struct InFlight {
     pub parts: u32,
     /// Pending-operation bitmask for **direct** instructions under the
     /// operation-level split technique: bit `i` set means op `i` of the
-    /// instruction's threaded-op table has not issued yet. Direct
+    /// instruction's decoded-op table has not issued yet. Direct
     /// instructions materialize no records, so the split-issue walk runs
-    /// off the static [`crate::threaded::ThreadedOp`] table and this mask
+    /// off the static [`crate::decode::DecodedOp`] table and this mask
     /// instead (see [`crate::engine`]). Only meaningful while `records`
     /// is empty and `n_pending > 0`.
     pub pending_ops: u64,
@@ -281,12 +281,6 @@ pub struct ThreadCtx {
     pub eval_activations: u64,
     /// Profiling: operations evaluated across all activations.
     pub eval_ops: u64,
-    /// Profiling: bundles evaluated through the fused (inlined dense-kind)
-    /// evaluator.
-    pub eval_fused_bundles: u64,
-    /// Profiling: operations evaluated through per-op [`crate::threaded::EvalFn`]
-    /// table entries (bundles containing a non-dense kind).
-    pub eval_table_ops: u64,
 }
 
 impl ThreadCtx {
@@ -331,8 +325,6 @@ impl ThreadCtx {
             issue_scans: 0,
             eval_activations: 0,
             eval_ops: 0,
-            eval_fused_bundles: 0,
-            eval_table_ops: 0,
         }
     }
 
@@ -348,12 +340,8 @@ impl ThreadCtx {
     /// table; this function only reads registers/memory and computes
     /// values, reusing the record buffer (no allocation, no re-decode).
     ///
-    /// Evaluation walks the threaded-code table ([`crate::threaded`]): a
-    /// bundle whose ops all have dense kinds is batch-evaluated by the
-    /// fused evaluator (one inlined jump table, operands in host
-    /// registers, contiguous record writeback); any other bundle calls its
-    /// ops' pre-bound [`crate::threaded::EvalFn`] entries. The common case
-    /// — every bundle dense — skips the per-bundle walk entirely.
+    /// Every operation goes through the one evaluator,
+    /// [`crate::exec::eval`], in decoded-table order.
     ///
     /// Inter-cluster pairs are resolved here: the `recv` value equals the
     /// `send` source read from pre-instruction state, which is the unique
@@ -371,7 +359,7 @@ impl ThreadCtx {
     /// writeback and the commit-time replay drop out of the hot path.
     /// Under the operation-level split technique (`split_op = true`) the
     /// issue stage walks pending operations individually; for a direct
-    /// instruction that walk runs off the static threaded-op table and
+    /// instruction that walk runs off the static decoded-op table and
     /// the [`InFlight::pending_ops`] bitmask set here, so direct
     /// application stays legal as long as the instruction fits the
     /// 64-bit mask (wider instructions — only reachable on synthetic
@@ -387,8 +375,6 @@ impl ThreadCtx {
             pc,
             eval_activations,
             eval_ops,
-            eval_fused_bundles,
-            eval_table_ops,
             ..
         } = self;
         let di = decoded.inst(*pc);
@@ -399,8 +385,8 @@ impl ThreadCtx {
             xfer_vals[pair as usize] = src_val(regs, src, imm);
         }
 
-        let tops = decoded.tops_of(di);
-        let n = tops.len();
+        let ops = decoded.ops_of(di);
+        let n = ops.len();
         inflight.records.clear();
         *eval_activations += 1;
         *eval_ops += n as u64;
@@ -410,50 +396,18 @@ impl ThreadCtx {
             // effect straight through. `EvalCtx` is rebuilt per op so the
             // shared borrows it holds end before the register-file write —
             // it is four pointer copies the optimizer keeps in registers.
-            macro_rules! apply {
-                ($r:expr) => {
-                    let r = $r;
-                    if r.flags & F_GPR != 0 {
-                        regs[r.dst() & (MAX_CLUSTERS * 64 - 1)] = r.val;
-                    } else if r.flags & F_BREG != 0 {
-                        bregs[r.dst() & (MAX_CLUSTERS * 8 - 1)] = r.flags & F_BREG_VAL != 0;
-                    }
+            for op in ops {
+                let cx = EvalCtx {
+                    regs,
+                    bregs,
+                    mem,
+                    xfer: &xfer_vals,
                 };
-            }
-            if di.fused_mask == di.bundle_mask {
-                *eval_fused_bundles += u64::from(di.bundle_mask.count_ones());
-                for t in tops {
-                    let cx = EvalCtx {
-                        regs,
-                        bregs,
-                        mem,
-                        xfer: &xfer_vals,
-                    };
-                    apply!(eval_dense(t, &cx));
-                }
-            } else {
-                let fns = decoded.fns_of(di);
-                for d in decoded.demands_of(di) {
-                    let (lo, hi) = (d.rec_range.0 as usize, d.rec_range.1 as usize);
-                    let fused = di.fused_mask & (1 << d.log_cluster) != 0;
-                    if fused {
-                        *eval_fused_bundles += 1;
-                    } else {
-                        *eval_table_ops += (hi - lo) as u64;
-                    }
-                    for i in lo..hi {
-                        let cx = EvalCtx {
-                            regs,
-                            bregs,
-                            mem,
-                            xfer: &xfer_vals,
-                        };
-                        if fused {
-                            apply!(eval_dense(&tops[i], &cx));
-                        } else {
-                            apply!(fns[i](&tops[i], &cx));
-                        }
-                    }
+                let r = eval(op, &cx);
+                if r.flags & F_GPR != 0 {
+                    regs[r.dst() & (MAX_CLUSTERS * 64 - 1)] = r.val;
+                } else if r.flags & F_BREG != 0 {
+                    bregs[r.dst() & (MAX_CLUSTERS * 8 - 1)] = r.flags & F_BREG_VAL != 0;
                 }
             }
         } else {
@@ -469,34 +423,11 @@ impl ThreadCtx {
             // iterator adapter's pointer bookkeeping showed up as several
             // percent of the evaluation phase in profiles.
             let dst = inflight.records.spare_capacity_mut();
-            if di.fused_mask == di.bundle_mask {
-                // Every bundle is dense: one fused pass over the whole
-                // instruction.
-                *eval_fused_bundles += u64::from(di.bundle_mask.count_ones());
-                for (d, t) in dst.iter_mut().zip(tops) {
-                    d.write(eval_dense(t, &cx));
-                }
-            } else {
-                let fns = decoded.fns_of(di);
-                for d in decoded.demands_of(di) {
-                    let (lo, hi) = (d.rec_range.0 as usize, d.rec_range.1 as usize);
-                    if di.fused_mask & (1 << d.log_cluster) != 0 {
-                        *eval_fused_bundles += 1;
-                        for i in lo..hi {
-                            dst[i].write(eval_dense(&tops[i], &cx));
-                        }
-                    } else {
-                        *eval_table_ops += (hi - lo) as u64;
-                        for i in lo..hi {
-                            dst[i].write(fns[i](&tops[i], &cx));
-                        }
-                    }
-                }
+            for (d, op) in dst.iter_mut().zip(ops) {
+                d.write(eval(op, &cx));
             }
-            // SAFETY: every slot in `..n` was just written — the fused
-            // path fills `0..n` directly; the per-bundle path covers
-            // `0..n` because the demand table's `rec_range`s partition the
-            // instruction's ops.
+            // SAFETY: the loop above wrote every slot in `..n` (the spare
+            // capacity holds at least `n` after the `reserve`).
             unsafe { inflight.records.set_len(n) };
         }
 
@@ -534,7 +465,8 @@ impl ThreadCtx {
         for rec in &inflight.records {
             if rec.flags & F_GPR != 0 {
                 // Decode filtered register-zero destinations to
-                // `Effectless`/`DST_NONE`, so every surviving write lands.
+                // `Effectless` or a record without `F_GPR`, so every surviving
+                // write lands.
                 regs[rec.dst() & (MAX_CLUSTERS * 64 - 1)] = rec.val;
             } else if rec.flags & F_BREG != 0 {
                 bregs[rec.dst() & (MAX_CLUSTERS * 8 - 1)] = rec.flags & F_BREG_VAL != 0;
@@ -591,7 +523,7 @@ fn src_val(regs: &GprFile, code: SrcRef, imm: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vex_isa::{Dest, Instruction, Opcode, Operand, Operation, Reg};
+    use vex_isa::{BReg, Dest, Instruction, Opcode, Operand, Operation, Reg};
 
     fn one_inst_program(inst: Instruction) -> Arc<Program> {
         let mut halt = Instruction::nop(4);
@@ -650,6 +582,112 @@ mod tests {
         t.inflight.n_pending = 0;
         t.commit_writes();
         assert_eq!(t.regs[0], 0); // flat r0.0
+    }
+
+    /// Every operand/destination shape a given opcode can decode into,
+    /// reading the registers `every_opcode_shape_matches_oracle` seeds.
+    fn shapes_of(op: Opcode) -> Vec<Operation> {
+        let r1 = Operand::Gpr(Reg::new(0, 1));
+        let r2 = Operand::Gpr(Reg::new(0, 2));
+        let imm = Operand::Imm(37);
+        let cond = Operand::Breg(BReg::new(0, 0));
+        let mut out = Vec::new();
+        if op.is_load() {
+            out.push(Operation::load(op, Reg::new(0, 3), Reg::new(0, 2), 8));
+            // Destination register zero: the load's write folds away.
+            out.push(Operation::load(op, Reg::new(0, 0), Reg::new(0, 2), 8));
+        } else if op.is_store() {
+            out.push(Operation::store(op, Reg::new(0, 2), 8, r1));
+            out.push(Operation::store(op, Reg::new(0, 2), 8, imm));
+        } else if op.is_ctrl() {
+            let mut o = Operation::new(op);
+            o.a = cond;
+            o.imm = 1;
+            out.push(o);
+        } else if op == Opcode::Send {
+            let mut o = Operation::new(op);
+            o.a = r1;
+            o.imm = 3;
+            out.push(o);
+        } else if op == Opcode::Recv {
+            for dst in [Reg::new(0, 4), Reg::new(0, 0)] {
+                let mut o = Operation::new(op);
+                o.dst = Dest::Gpr(dst);
+                o.imm = 3;
+                out.push(o);
+            }
+        } else {
+            // ALU/MUL: every source shape × every destination class.
+            for (a, b) in [(r1, r2), (r1, imm), (imm, r2), (imm, imm)] {
+                for dst in [
+                    Dest::Gpr(Reg::new(0, 3)),
+                    Dest::Breg(BReg::new(0, 1)),
+                    Dest::Gpr(Reg::new(0, 0)),
+                    Dest::None,
+                ] {
+                    let mut o = Operation::bin(op, Reg::new(0, 3), a, b);
+                    o.dst = dst;
+                    o.c = cond;
+                    out.push(o);
+                }
+            }
+        }
+        out
+    }
+
+    /// The single evaluator against the in-order oracle: every opcode, in
+    /// every operand shape and destination class it decodes into, runs as
+    /// a one-instruction program (after a seeding instruction) through
+    /// `activate` + `commit_writes`, on both the record and the direct
+    /// path, and must leave the oracle's registers and memory.
+    #[test]
+    fn every_opcode_shape_matches_oracle() {
+        let mut seed = Operation::new(Opcode::CmpNe);
+        seed.dst = Dest::Breg(BReg::new(0, 0));
+        seed.a = Operand::Imm(1);
+        let mov = |r: u8, v: i32| {
+            let mut o = Operation::new(Opcode::Mov);
+            o.dst = Dest::Gpr(Reg::new(0, r));
+            o.a = Operand::Imm(v);
+            o
+        };
+        let seed = Instruction::from_ops(
+            4,
+            [
+                (0, mov(1, 0x9e37_79b9_u32 as i32)),
+                (0, mov(2, 0x40)),
+                (0, seed),
+            ],
+        );
+        let data = vex_isa::DataSegment {
+            base: 0x40,
+            bytes: (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x95).collect(),
+        };
+        let mut halt = Instruction::nop(4);
+        halt.bundles[0].ops.push(Operation::new(Opcode::Halt));
+        for op in Opcode::ALL {
+            for shaped in shapes_of(op) {
+                let inst = Instruction::from_ops(4, [(0, shaped.clone())]);
+                let p = Arc::new(Program::new(
+                    "t",
+                    vec![seed.clone(), inst, halt.clone()],
+                    vec![data.clone()],
+                ));
+                let want = crate::oracle::interpret(&p, 2);
+                for split_op in [false, true] {
+                    let mut t = ThreadCtx::new(Arc::clone(&p), 0, 4, 0);
+                    for _ in 0..2 {
+                        t.activate(split_op);
+                        t.inflight.n_pending = 0;
+                        t.commit_writes();
+                    }
+                    let at = format!("`{shaped}` (split_op {split_op})");
+                    assert_eq!(t.regs, want.regs, "{at}: registers");
+                    assert_eq!(t.bregs, want.bregs, "{at}: branch registers");
+                    assert_eq!(t.mem.digest(), want.mem.digest(), "{at}: memory");
+                }
+            }
+        }
     }
 
     #[test]

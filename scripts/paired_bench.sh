@@ -6,8 +6,11 @@
 # one recorded today mostly measures the host, not the code. This
 # script interleaves runs of a BASELINE bench binary and a CURRENT
 # bench binary — base, new, base, new, ... within the same minutes on
-# the same host — and reports the per-round and pooled aggregate
-# ratios, which is the honest speedup estimate.
+# the same host — and reports the per-round ratios, the pooled
+# aggregate ratio, the median per-round ratio and how many rounds the
+# current binary won. Judge a gain (or "no regression") by the win
+# count and the median, not by the pooled sum alone: one noisy round
+# can swing the pooled ratio.
 #
 # Usage:
 #   scripts/paired_bench.sh <baseline-binary> [current-binary] [rounds]
@@ -70,9 +73,14 @@ import json, sys
 d, n = sys.argv[1], int(sys.argv[2])
 base = [json.load(open(f"{d}/base_{r}.json"))["aggregate_cycles_per_sec"] for r in range(1, n + 1)]
 cur = [json.load(open(f"{d}/cur_{r}.json"))["aggregate_cycles_per_sec"] for r in range(1, n + 1)]
-ratios = [c / b for b, c in zip(base, cur)]
+ratios = sorted(c / b for b, c in zip(base, cur))
 pooled = sum(cur) / sum(base)
+mid = len(ratios) // 2
+median = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
+wins = sum(r > 1 for r in ratios)
 print()
 print(f"pooled ratio (sum current / sum baseline): {pooled:.3f}x")
-print(f"per-round ratios: min {min(ratios):.3f}x  max {max(ratios):.3f}x")
+print(f"median per-round ratio: {median:.3f}x")
+print(f"current faster in {wins} of {n} rounds")
+print(f"per-round ratios: min {ratios[0]:.3f}x  max {ratios[-1]:.3f}x")
 EOF
