@@ -16,7 +16,9 @@ use std::fmt;
 use std::sync::Arc;
 use vex_isa::{MachineConfig, Program};
 use vex_sim::oracle::{interpret, OracleState};
-use vex_sim::{Engine, MemConfig, MemoryMode, MtMode, SimConfig, StopReason, Technique};
+use vex_sim::{
+    Engine, MemConfig, MemoryMode, MtMode, PreparedProgram, SimConfig, StopReason, Technique,
+};
 
 /// Thread counts every technique point is checked under.
 pub const THREAD_COUNTS: [u8; 3] = [1, 2, 4];
@@ -100,11 +102,11 @@ fn compare_context(engine: &Engine, ctx: usize, want: &OracleState) -> Option<St
             return Some(format!("$b{}.{} = {got}, oracle says {exp}", i / 8, i % 8));
         }
     }
-    if t.mem.digest() != want.mem.digest() {
+    if let Some(addr) = t.mem.first_difference(&want.mem) {
         return Some(format!(
-            "memory digest {:#018x}, oracle says {:#018x}",
-            t.mem.digest(),
-            want.mem.digest()
+            "memory byte {addr:#x} = {:#04x}, oracle says {:#04x}",
+            t.mem.read_u8(addr),
+            want.mem.read_u8(addr)
         ));
     }
     let s = &engine.stats.per_thread[ctx];
@@ -131,8 +133,8 @@ fn compare_context(engine: &Engine, ctx: usize, want: &OracleState) -> Option<St
 
 /// Runs `program` through all 8 technique points × [`THREAD_COUNTS`] and
 /// asserts every context's final architectural state (registers, branch
-/// registers, memory) and retirement counters are byte-identical to the
-/// in-order reference interpreter.
+/// registers, every memory byte) and retirement counters are identical to
+/// the in-order reference interpreter.
 pub fn check_program(program: &Arc<Program>, machine: &MachineConfig) -> Result<(), Mismatch> {
     let want = interpret(program, ORACLE_INST_BOUND);
     if !want.halted {
@@ -147,10 +149,12 @@ pub fn check_program(program: &Arc<Program>, machine: &MachineConfig) -> Result<
         });
     }
 
+    // Decode once for all 24 runs: every context of every run shares it.
+    let prepared = PreparedProgram::prepare(Arc::clone(program));
     for (label, technique) in Technique::FIGURE16_SET {
         for n in THREAD_COUNTS {
-            let workload: Vec<Arc<Program>> = (0..n).map(|_| Arc::clone(program)).collect();
-            let mut engine = Engine::new(diff_config(machine, technique, n), &workload);
+            let workload = vec![prepared.clone(); n as usize];
+            let mut engine = Engine::with_prepared(diff_config(machine, technique, n), &workload);
             let reason = engine.run();
             if reason != StopReason::AllRetired {
                 return Err(Mismatch {
@@ -207,4 +211,63 @@ pub fn shrink(cfg: &GenConfig, original: Failure) -> (GenConfig, Failure) {
         }
     }
     (cfg.clone(), original)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A generated program run cleanly on 2 threads, with its oracle state.
+    fn clean_run() -> (Engine, OracleState) {
+        let machine = MachineConfig::paper_4c4w();
+        let program = Arc::new(generate(&GenConfig::new(machine.clone(), 7)).unwrap());
+        let want = interpret(&program, ORACLE_INST_BOUND);
+        assert!(want.halted);
+        let (_, technique) = Technique::FIGURE16_SET[0];
+        let workload = [Arc::clone(&program), program];
+        let mut engine = Engine::new(diff_config(&machine, technique, 2), &workload);
+        assert_eq!(engine.run(), StopReason::AllRetired);
+        for ctx in 0..workload.len() {
+            assert_eq!(compare_context(&engine, ctx, &want), None);
+        }
+        (engine, want)
+    }
+
+    #[test]
+    fn a_flipped_memory_byte_is_named() {
+        let (mut engine, want) = clean_run();
+        // The lowest nonzero byte of the oracle's image (against an empty one).
+        let addr = want
+            .mem
+            .first_difference(&Default::default())
+            .expect("the program leaves data in memory");
+        let mem = &mut engine.contexts[1].mem;
+        mem.write_u8(addr, mem.read_u8(addr) ^ 0x10);
+        assert_eq!(compare_context(&engine, 0, &want), None);
+        let what = compare_context(&engine, 1, &want).unwrap();
+        assert!(
+            what.starts_with(&format!("memory byte {addr:#x} = ")),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn a_write_to_a_page_the_oracle_never_touched_is_named() {
+        let (mut engine, want) = clean_run();
+        let addr = 0x7fff_0123;
+        assert_eq!(want.mem.read_u8(addr), 0);
+        engine.contexts[0].mem.write_u8(addr, 1);
+        assert_eq!(
+            compare_context(&engine, 0, &want).as_deref(),
+            Some("memory byte 0x7fff0123 = 0x01, oracle says 0x00")
+        );
+    }
+
+    #[test]
+    fn a_corrupted_register_is_named() {
+        let (mut engine, want) = clean_run();
+        engine.contexts[0].regs[64 + 5] ^= 1;
+        let what = compare_context(&engine, 0, &want).unwrap();
+        assert!(what.starts_with("$r1.5 = "), "{what}");
+    }
 }

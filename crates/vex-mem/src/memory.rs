@@ -273,9 +273,37 @@ impl Memory {
             .collect()
     }
 
-    /// A short, order-independent-free digest of the resident image, used by
-    /// tests to compare final architectural memory states cheaply (FNV-1a
-    /// over (page index, bytes) in page order).
+    /// The lowest address at which this image and `other` differ, or `None`
+    /// when they are architecturally equal. An absent page reads as zeros,
+    /// so a page materialised on one side only differs exactly where it
+    /// holds a nonzero byte. Each page is compared as a slice first and
+    /// searched byte by byte only when it differs; the two directories may
+    /// have different lengths.
+    pub fn first_difference(&self, other: &Memory) -> Option<u32> {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        fn page(m: &Memory, idx: usize) -> Option<&[u8]> {
+            m.pages.get(idx).and_then(|p| p.as_deref())
+        }
+        (0..self.pages.len().max(other.pages.len())).find_map(|idx| {
+            let (a, b) = match (page(self, idx), page(other, idx)) {
+                (None, None) => return None,
+                (a, b) => (a.unwrap_or(&ZERO_PAGE), b.unwrap_or(&ZERO_PAGE)),
+            };
+            if a == b {
+                return None;
+            }
+            let off = a.iter().zip(b).position(|(x, y)| x != y)?;
+            Some(((idx << PAGE_SHIFT) | off) as u32)
+        })
+    }
+
+    /// A 64-bit fingerprint of the architectural image: FNV-1a over
+    /// (page index, bytes) of every page holding a nonzero byte, in page
+    /// order, so it depends on byte order and treats all-zero pages as
+    /// absent. It hashes one byte at a time (≈100 µs per touched 64 KiB
+    /// page in a release build), so it is meant for display (`vex run`)
+    /// and recorded fixtures; compare two images with
+    /// [`Memory::first_difference`], which is exact and memcmp-fast.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         let mut mix = |b: u8| {
@@ -349,6 +377,75 @@ mod tests {
         // Touching a page with zeros only must not change the digest.
         b.write_u8(0x9_0000, 0);
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn first_difference_treats_absent_pages_as_zero() {
+        let a = Memory::new();
+        let mut b = Memory::new();
+        assert_eq!(a.first_difference(&b), None);
+        // Materialising an all-zero page changes nothing architecturally.
+        b.write_u8(0x1_0004, 0);
+        assert_eq!(a.first_difference(&b), None);
+        assert_eq!(b.first_difference(&a), None);
+    }
+
+    #[test]
+    fn first_difference_spans_directories_of_different_lengths() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u32(0x40, 7);
+        b.write_u32(0x40, 7);
+        // Only `b`'s directory reaches page 5, and only with zeros.
+        b.write_u32(0x5_0000, 0);
+        assert_eq!(a.first_difference(&b), None);
+        // A nonzero byte beyond the end of `a`'s directory is found.
+        b.write_u8(0x5_1234, 9);
+        assert_eq!(a.first_difference(&b), Some(0x5_1234));
+        assert_eq!(b.first_difference(&a), Some(0x5_1234));
+    }
+
+    #[test]
+    fn first_difference_reports_the_lowest_differing_address() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_bytes(0x2_0000, &[1; 64]);
+        b.write_bytes(0x2_0000, &[1; 64]);
+        b.write_u8(0x2_0030, 5);
+        b.write_u8(0x2_0010, 4);
+        b.write_u8(0x3_0000, 3); // a later page differs too
+        assert_eq!(a.first_difference(&b), Some(0x2_0010));
+    }
+
+    #[test]
+    fn first_difference_across_a_page_boundary() {
+        let boundary = 1u32 << PAGE_SHIFT;
+        let base = Memory::new();
+        let mut last = Memory::new();
+        last.write_u8(boundary - 1, 1);
+        assert_eq!(base.first_difference(&last), Some(boundary - 1));
+        let mut first = Memory::new();
+        first.write_u8(boundary, 1);
+        assert_eq!(base.first_difference(&first), Some(boundary));
+        // Both differ from `base`; against each other the lower one wins.
+        assert_eq!(last.first_difference(&first), Some(boundary - 1));
+    }
+
+    #[test]
+    fn first_difference_is_symmetric() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_u64(0x100, 0x1122_3344_5566_7788);
+        b.write_u64(0x100, 0x1122_3344_5566_7789);
+        b.write_u32(0x7_0000, 1);
+        a.write_u32(0x9_0000, 1);
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            assert_eq!(x.first_difference(y), Some(0x100));
+        }
+        let mut c = a.clone();
+        c.write_u8(0x9_0000, 0);
+        assert_eq!(a.first_difference(&c), Some(0x9_0000));
+        assert_eq!(c.first_difference(&a), Some(0x9_0000));
     }
 
     #[test]
