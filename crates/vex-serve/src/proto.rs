@@ -28,10 +28,19 @@
 //! Server → worker: `OK`, `ASSIGN <key> <zero_wall> <heartbeat_ms>` +
 //! single-point spec body, `WAIT <ms>`, `SHUTDOWN`.
 //! Client → server: `SUBMIT` + spec body, `POLL` + key-per-line body,
-//! `FETCH <key>`, `STATUS`, `DRAIN`.
+//! `FETCH` + key-per-line body, `STATUS`, `DRAIN`.
 //! Server → client: `ACCEPTED <total> <cached> <enqueued>`, `DRAINING`,
 //! `ERROR <msg>`, `READY <done> <failed>`, `PENDING <done> <total>`,
-//! `ENTRY` + payload body, `FAILED <attempts>` + message body, `UNKNOWN`.
+//! `FETCHED <n>` + `n` sections.
+//!
+//! ## Sections
+//!
+//! `FETCH` answers every requested key in one frame: the body of its
+//! `FETCHED <n>` reply is `n` sections in request order, each
+//! `<len: decimal>\n<len bytes>`. A section is itself a message:
+//! `ENTRY` + journal payload body, `FAILED <attempts>` + message body,
+//! `PENDING`, or `UNKNOWN`. The length prefix keeps a multi-line payload
+//! from being mistaken for the next section's head.
 
 use std::io::{self, Read, Write};
 
@@ -40,12 +49,17 @@ use std::io::{self, Read, Write};
 /// and is refused before allocating.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Writes one frame. The text's length must fit [`MAX_FRAME`].
+/// Writes one frame in a single `write_all`, so a frame costs one
+/// syscall and, under `TCP_NODELAY`, leaves as one segment train rather
+/// than a 4-byte prefix segment and a body. The text's length must fit
+/// [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, text: &str) -> io::Result<()> {
     let len = text.len() as u32;
     debug_assert!(len <= MAX_FRAME);
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(text.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -92,6 +106,32 @@ pub fn split_message(text: &str) -> (&str, &str) {
         Some((head, body)) => (head, body),
         None => (text, ""),
     }
+}
+
+/// Appends one `<len>\n<text>` section to a multi-section body.
+pub(crate) fn push_section(out: &mut String, text: &str) {
+    out.push_str(&text.len().to_string());
+    out.push('\n');
+    out.push_str(text);
+}
+
+/// Splits a body built by [`push_section`] back into its sections.
+pub(crate) fn split_sections(mut body: &str) -> Result<Vec<&str>, String> {
+    let mut sections = Vec::new();
+    while !body.is_empty() {
+        let (len, rest) = body
+            .split_once('\n')
+            .ok_or("section without a length line")?;
+        let len: usize = len
+            .parse()
+            .map_err(|_| format!("bad section length `{len}`"))?;
+        let section = rest
+            .get(..len)
+            .ok_or_else(|| format!("section of {len} bytes overruns the frame"))?;
+        sections.push(section);
+        body = &rest[len..];
+    }
+    Ok(sections)
 }
 
 /// Parses a 16-digit hex point key argument.
@@ -150,6 +190,54 @@ mod tests {
         let (head, body) = split_message("GET");
         assert_eq!(head, "GET");
         assert_eq!(body, "");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, "FETCH\n00000000deadbeef\n").unwrap();
+        assert_eq!(w.writes, 1, "prefix and body must leave in one write");
+        let mut r = w.bytes.as_slice();
+        assert_eq!(
+            read_frame(&mut r).unwrap().unwrap(),
+            "FETCH\n00000000deadbeef\n"
+        );
+    }
+
+    #[test]
+    fn sections_round_trip_and_torn_sections_are_errors() {
+        let parts = [
+            "ENTRY\nkey=1\nmulti\nline\n",
+            "",
+            "UNKNOWN",
+            "FAILED 3\nboom",
+        ];
+        let mut body = String::new();
+        for p in parts {
+            push_section(&mut body, p);
+        }
+        assert_eq!(split_sections(&body).unwrap(), parts);
+        assert_eq!(split_sections("").unwrap(), Vec::<&str>::new());
+        assert!(split_sections(&body[..body.len() - 1]).is_err());
+        assert!(split_sections("x\nabc").is_err());
+        assert!(split_sections("12").is_err());
     }
 
     #[test]

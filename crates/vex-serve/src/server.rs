@@ -28,10 +28,20 @@
 //! Results live in a content-addressed cache keyed by the point key, and
 //! — when a journal path is configured — every result is appended to a
 //! crash-safe VEXJ journal (fsynced before the worker's `RESULT` is
-//! acknowledged) and every submission to a `<journal>.subs` sidecar.
-//! `--resume` replays both: completed points come back byte-identically
-//! without re-simulation, and interrupted submissions re-enqueue their
-//! missing points.
+//! acknowledged) and every submission that leaves work to do to a
+//! `<journal>.subs` sidecar. `--resume` replays both: completed points
+//! come back byte-identically without re-simulation, and interrupted
+//! submissions re-enqueue their missing points. A submission the cache
+//! answers in full is not logged: every cached result is already in the
+//! journal, so there is nothing for a resume to re-enqueue.
+//!
+//! ## Connections
+//!
+//! A dedicated acceptor thread blocks in `accept` and starts each
+//! connection's handler at once, so no request waits for the supervision
+//! loop's tick. The server keeps a clone of each open connection (drain
+//! shuts them down to unblock their readers) and drops it when the
+//! connection closes.
 //!
 //! ## Drain
 //!
@@ -39,15 +49,16 @@
 //! new submissions are refused, accepted work is finished and journaled,
 //! idle workers are told to `SHUTDOWN`, and the server exits 0.
 
-use crate::proto::{parse_key, read_frame, split_message, write_frame};
+use crate::proto::{parse_key, push_section, read_frame, split_message, write_frame};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 use vex_experiments::journal::crc32;
 use vex_experiments::runner::ProgramLoader;
@@ -291,10 +302,40 @@ struct Shared<'a> {
     state: Mutex<State>,
     journal: Mutex<Option<Journal>>,
     subs: Mutex<Option<SubsLog>>,
-    /// Clones of every accepted connection, so drain can unblock their
-    /// reader threads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Clones of the open connections by id, so drain can unblock their
+    /// reader threads. A handler removes its own when it returns.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     closed: AtomicBool,
+}
+
+impl<'a> Shared<'a> {
+    fn new(
+        cfg: &'a ServeConfig,
+        loader: Option<ProgramLoader<'a>>,
+        cache: HashMap<u64, JournalEntry>,
+        journal: Option<Journal>,
+        subs: Option<SubsLog>,
+    ) -> Shared<'a> {
+        Shared {
+            cfg,
+            loader,
+            backoff: BackoffPolicy {
+                base_ms: cfg.policy.backoff_base_ms,
+                max_ms: cfg.policy.backoff_max_ms,
+                jitter: true,
+            },
+            state: Mutex::new(State {
+                tasks: HashMap::new(),
+                order: Vec::new(),
+                cache,
+                draining: false,
+            }),
+            journal: Mutex::new(journal),
+            subs: Mutex::new(subs),
+            conns: Mutex::new(HashMap::new()),
+            closed: AtomicBool::new(false),
+        }
+    }
 }
 
 /// Mutex lock that shrugs off poisoning: the protected data is only ever
@@ -308,7 +349,10 @@ const DRAINING_MSG: &str = "server is draining; not accepting new submissions";
 // ---- submission / queue -------------------------------------------
 
 /// Expands a submitted spec and enqueues every point not already cached
-/// or pending. Returns `(total, cached, newly_enqueued)`.
+/// or pending. Returns `(total, cached, newly_enqueued)`. With `record`,
+/// a submission that leaves any point uncached is appended (and synced)
+/// to the submission log; a fully cached one is not, since the journal
+/// already holds every result it names.
 fn enqueue_spec(
     shared: &Shared<'_>,
     text: &str,
@@ -363,7 +407,7 @@ fn enqueue_spec(
         }
     }
     drop(st);
-    if record {
+    if record && cached < points.len() {
         if let Some(s) = lock(&shared.subs).as_mut() {
             s.append(text)?;
         }
@@ -563,17 +607,47 @@ fn poll_reply(shared: &Shared<'_>, body: &str) -> String {
     }
 }
 
-fn fetch_reply(shared: &Shared<'_>, key: u64) -> String {
+/// Answers a key-per-line `FETCH` body with one `FETCHED <n>` frame: a
+/// section per key, in request order.
+fn fetch_reply(shared: &Shared<'_>, body: &str) -> String {
+    let keys = match body
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(parse_key)
+        .collect::<Result<Vec<u64>, String>>()
+    {
+        Ok(keys) => keys,
+        Err(e) => return format!("ERROR {e}"),
+    };
+    let mut out = format!("FETCHED {}\n", keys.len());
     let st = lock(&shared.state);
-    if let Some(entry) = st.cache.get(&key) {
-        return format!("ENTRY\n{}", entry.to_payload());
+    for key in keys {
+        let section = match (st.cache.get(&key), st.tasks.get(&key)) {
+            (Some(entry), _) => format!("ENTRY\n{}", entry.to_payload()),
+            (None, Some(t)) => match &t.state {
+                TaskState::Failed { msg } => format!("FAILED {}\n{msg}", t.attempts),
+                _ => "PENDING".to_string(),
+            },
+            (None, None) => "UNKNOWN".to_string(),
+        };
+        push_section(&mut out, &section);
     }
-    match st.tasks.get(&key) {
-        Some(t) => match &t.state {
-            TaskState::Failed { msg } => format!("FAILED {}\n{msg}", t.attempts),
-            _ => "PENDING".to_string(),
-        },
-        None => "UNKNOWN".to_string(),
+    out
+}
+
+/// Puts the server into drain mode (idempotent).
+fn begin_drain(shared: &Shared<'_>) {
+    let mut st = lock(&shared.state);
+    if !st.draining {
+        st.draining = true;
+        eprintln!(
+            "[vex serve] drain requested: finishing {} in-flight point(s), \
+             refusing new submissions",
+            st.tasks
+                .values()
+                .filter(|t| !matches!(t.state, TaskState::Done | TaskState::Failed { .. }))
+                .count()
+        );
     }
 }
 
@@ -642,13 +716,10 @@ fn handle_conn(shared: &Shared<'_>, mut stream: TcpStream) {
                 Err(e) => format!("ERROR {}", e.replace('\n', " ")),
             }),
             "POLL" => Some(poll_reply(shared, body)),
-            "FETCH" => Some(match parts.next().map_or(Err(String::new()), parse_key) {
-                Ok(key) => fetch_reply(shared, key),
-                Err(e) => format!("ERROR {e}"),
-            }),
+            "FETCH" => Some(fetch_reply(shared, body)),
             "STATUS" => Some(status_reply(shared)),
             "DRAIN" => {
-                DRAIN_REQUESTED.store(true, Ordering::SeqCst);
+                begin_drain(shared);
                 Some("OK".to_string())
             }
             other => Some(format!("ERROR unknown verb `{other}`")),
@@ -698,9 +769,9 @@ fn supervise(
     let mut to_kill: Vec<u32> = Vec::new();
     {
         let mut st = lock(&shared.state);
-        let keys: Vec<u64> = st.order.clone();
-        for key in keys {
-            let Some(t) = st.tasks.get_mut(&key) else {
+        let State { tasks, order, .. } = &mut *st;
+        for &key in order.iter() {
+            let Some(t) = tasks.get_mut(&key) else {
                 continue;
             };
             let TaskState::Running {
@@ -757,6 +828,60 @@ fn supervise(
 
 // ---- the server ---------------------------------------------------
 
+/// The acceptor: blocks in `accept` and starts a handler thread for each
+/// connection at once. Accept errors (a full fd table, an aborted
+/// handshake) are logged and retried; the loop ends when drain sets
+/// `closed` and connects to wake it.
+fn accept_loop<'scope>(
+    s: &'scope Scope<'scope, '_>,
+    shared: &'scope Shared<'_>,
+    listener: &TcpListener,
+) {
+    let mut next_id: u64 = 0;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) if shared.closed.load(Ordering::SeqCst) => return,
+            Err(e) => {
+                eprintln!("[vex serve] accept failed: {e}; retrying");
+                // Back off so a persistent error (EMFILE until some
+                // connection closes) does not spin the thread.
+                std::thread::sleep(Duration::from_millis(50));
+                continue;
+            }
+        };
+        stream.set_nodelay(true).ok();
+        let id = next_id;
+        next_id += 1;
+        {
+            let mut conns = lock(&shared.conns);
+            if shared.closed.load(Ordering::SeqCst) {
+                return;
+            }
+            if let Ok(clone) = stream.try_clone() {
+                conns.insert(id, clone);
+            }
+        }
+        s.spawn(move || {
+            handle_conn(shared, stream);
+            lock(&shared.conns).remove(&id);
+        });
+    }
+}
+
+/// Where to connect to reach a listener bound to `bound`: the same port,
+/// on loopback if the listener is bound to the unspecified address.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(if bound.is_ipv4() {
+            Ipv4Addr::LOCALHOST.into()
+        } else {
+            Ipv6Addr::LOCALHOST.into()
+        });
+    }
+    bound
+}
+
 /// Runs the sweep service until drained (SIGTERM/SIGINT or the `DRAIN`
 /// verb). Returns once every accepted point is terminal, the journal is
 /// synced, and the worker pool has exited.
@@ -766,13 +891,10 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
 
     let listener =
         TcpListener::bind(&cfg.listen).map_err(|e| format!("cannot bind `{}`: {e}", cfg.listen))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set the listener nonblocking: {e}"))?;
-    let addr = listener
+    let bound = listener
         .local_addr()
-        .map_err(|e| format!("cannot read the bound address: {e}"))?
-        .to_string();
+        .map_err(|e| format!("cannot read the bound address: {e}"))?;
+    let addr = bound.to_string();
     if let Some(pf) = &cfg.port_file {
         // Write-then-rename so a polling test never reads a half-written
         // address.
@@ -814,25 +936,7 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
         None => (None, Vec::new()),
     };
 
-    let shared = Shared {
-        cfg,
-        loader,
-        backoff: BackoffPolicy {
-            base_ms: cfg.policy.backoff_base_ms,
-            max_ms: cfg.policy.backoff_max_ms,
-            jitter: true,
-        },
-        state: Mutex::new(State {
-            tasks: HashMap::new(),
-            order: Vec::new(),
-            cache,
-            draining: false,
-        }),
-        journal: Mutex::new(journal),
-        subs: Mutex::new(subs),
-        conns: Mutex::new(Vec::new()),
-        closed: AtomicBool::new(false),
-    };
+    let shared = Shared::new(cfg, loader, cache, journal, subs);
 
     // Re-enqueue interrupted submissions before accepting new ones: the
     // cache short-circuits every point the journal already has.
@@ -855,41 +959,17 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
     };
 
     let mut children: Vec<Child> = Vec::new();
-    let served = std::thread::scope(|s| -> Result<(), String> {
+    std::thread::scope(|s| {
+        let shared = &shared;
+        let listener = &listener;
+        s.spawn(move || accept_loop(s, shared, listener));
+
         loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nodelay(true).ok();
-                    if let Ok(clone) = stream.try_clone() {
-                        lock(&shared.conns).push(clone);
-                    }
-                    let shared = &shared;
-                    s.spawn(move || handle_conn(shared, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(e) => return Err(format!("accept failed: {e}")),
-            }
-
             if DRAIN_REQUESTED.load(Ordering::SeqCst) {
-                let mut st = lock(&shared.state);
-                if !st.draining {
-                    st.draining = true;
-                    eprintln!(
-                        "[vex serve] drain requested: finishing {} in-flight point(s), \
-                         refusing new submissions",
-                        st.tasks
-                            .values()
-                            .filter(|t| !matches!(
-                                t.state,
-                                TaskState::Done | TaskState::Failed { .. }
-                            ))
-                            .count()
-                    );
-                }
+                begin_drain(shared);
             }
-
             let draining = lock(&shared.state).draining;
-            supervise(&shared, &mut children, &addr, pool_size, draining);
+            supervise(shared, &mut children, &addr, pool_size, draining);
 
             if draining && lock(&shared.state).all_terminal() && children.is_empty() {
                 break;
@@ -897,14 +977,21 @@ pub fn serve(cfg: &ServeConfig, loader: Option<ProgramLoader<'_>>) -> Result<(),
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // Unblock every connection thread so the scope can join.
-        shared.closed.store(true, Ordering::SeqCst);
-        for c in lock(&shared.conns).drain(..) {
-            c.shutdown(Shutdown::Both).ok();
+        // Stop accepting, wake the acceptor out of its blocking `accept`,
+        // and unblock every connection thread so the scope can join.
+        // `closed` is set under the connection lock, so a connection the
+        // acceptor registers after this point sees it and is not served.
+        {
+            let mut conns = lock(&shared.conns);
+            shared.closed.store(true, Ordering::SeqCst);
+            for (_, c) in conns.drain() {
+                c.shutdown(Shutdown::Both).ok();
+            }
         }
-        Ok(())
+        if let Err(e) = TcpStream::connect_timeout(&wake_addr(bound), Duration::from_secs(5)) {
+            eprintln!("[vex serve] cannot wake the acceptor: {e}");
+        }
     });
-    served?;
 
     let st = lock(&shared.state);
     eprintln!(
@@ -959,6 +1046,100 @@ mod tests {
         fs::write(&path, "definitely not a log\n").unwrap();
         let err = SubsLog::open(&path, true).unwrap_err();
         assert!(err.contains("not a vex serve submission log"), "{err}");
+        fs::remove_file(&path).ok();
+    }
+
+    /// Two points (`llll` CSMT and SMT, 2 threads), and a superset that
+    /// adds a third.
+    const SPEC: &str = "name = \"unit\"\ninst_limit = 2000\ntimeslice = 500\n\
+                        techniques = [\"CSMT\", \"SMT\"]\nthreads = [2]\nmixes = [\"llll\"]\n";
+    const SUPERSET: &str = "name = \"unit\"\ninst_limit = 2000\ntimeslice = 500\n\
+                            techniques = [\"CSMT\", \"SMT\", \"CCSI AS\"]\nthreads = [2]\n\
+                            mixes = [\"llll\"]\n";
+
+    fn entry(key: u64) -> JournalEntry {
+        JournalEntry {
+            key,
+            label: format!("point {key}"),
+            stop: vex_sim::StopReason::InstLimit,
+            wall_secs: 0.0,
+            stats: vex_sim::SimStats::default(),
+        }
+    }
+
+    fn task(state: TaskState, attempts: u32) -> Task {
+        Task {
+            label: "p".into(),
+            assign: String::new(),
+            attempts,
+            crashes: 0,
+            ready_at: Instant::now(),
+            state,
+        }
+    }
+
+    #[test]
+    fn batched_fetch_answers_every_key_in_request_order() {
+        use crate::submit::{parse_fetch_reply, Fetched};
+        let cfg = ServeConfig::default();
+        let shared = Shared::new(&cfg, None, HashMap::from([(1, entry(1))]), None, None);
+        {
+            let mut st = lock(&shared.state);
+            let failed = TaskState::Failed {
+                msg: "quarantined".into(),
+            };
+            st.tasks.insert(2, task(failed, 3));
+            st.tasks.insert(4, task(TaskState::Queued, 0));
+        }
+        let keys = [3, 1, 2, 4, 1];
+        let body: String = keys.iter().map(|k| format!("{k:016x}\n")).collect();
+        let reply = fetch_reply(&shared, &body);
+        assert!(reply.starts_with("FETCHED 5\n"), "{reply}");
+        assert_eq!(
+            parse_fetch_reply(&reply, &keys).unwrap(),
+            [
+                Fetched::Unknown,
+                Fetched::Entry(entry(1)),
+                Fetched::Failed {
+                    attempts: 3,
+                    msg: "quarantined".into()
+                },
+                Fetched::Pending,
+                Fetched::Entry(entry(1)),
+            ]
+        );
+        // An entry answered under the wrong key, a short reply and a bad
+        // key are all errors.
+        assert!(parse_fetch_reply(&reply, &[3, 2, 2, 4, 1]).is_err());
+        assert!(parse_fetch_reply(&reply, &keys[..4]).is_err());
+        assert!(fetch_reply(&shared, "xyz\n").starts_with("ERROR "));
+    }
+
+    #[test]
+    fn only_submissions_with_uncached_points_are_logged() {
+        let path = tmp("subs_cached");
+        let (log, _) = SubsLog::open(&path, false).unwrap();
+        let spec = SweepSpec::parse(SPEC).unwrap();
+        let cache = spec_point_keys(&spec, None)
+            .unwrap()
+            .into_iter()
+            .map(|(_, key)| (key, entry(key)))
+            .collect();
+        let cfg = ServeConfig::default();
+        let shared = Shared::new(&cfg, None, cache, None, Some(log));
+        let before = fs::read(&path).unwrap();
+
+        // Fully cached: no record, no sync, byte-identical log.
+        assert_eq!(enqueue_spec(&shared, SPEC, true).unwrap(), (2, 2, 0));
+        assert_eq!(fs::read(&path).unwrap(), before);
+
+        // One point uncached: exactly one record, the submitted text.
+        assert_eq!(enqueue_spec(&shared, SUPERSET, true).unwrap(), (3, 2, 1));
+        let after = fs::read(&path).unwrap();
+        assert!(after.starts_with(&before) && after.len() > before.len());
+        drop(shared);
+        let (_, prior) = SubsLog::open(&path, true).unwrap();
+        assert_eq!(prior, [SUPERSET]);
         fs::remove_file(&path).ok();
     }
 

@@ -1,13 +1,15 @@
 //! The client side of the sweep service: submits a spec, polls until
 //! every point is terminal, fetches the results and reassembles a
-//! [`SweepOutcome`] indistinguishable from an in-process run.
+//! [`SweepOutcome`] indistinguishable from an in-process run. A
+//! submission the server answers entirely from its cache skips the poll,
+//! and results come back in batches of `FETCH_CHUNK` keys per `FETCH`.
 //!
 //! The client expands the spec *locally* to derive the point keys it will
 //! poll and fetch — the keys are content-addressed, so the client and
 //! server independently agree on the identity of every point without
 //! exchanging anything but the spec text.
 
-use crate::proto::{read_frame, split_message, write_frame};
+use crate::proto::{read_frame, split_message, split_sections, write_frame};
 use std::net::TcpStream;
 use std::time::Duration;
 use vex_experiments::runner::ProgramLoader;
@@ -15,6 +17,12 @@ use vex_experiments::{
     spec_point_keys, JournalEntry, PointError, PointFailure, PointResult, SweepOutcome,
 };
 use vex_spec::SweepSpec;
+
+/// Keys per `FETCH` request. A result payload is ≈600 bytes, so a reply
+/// stays ≈150 KiB, far below [`MAX_FRAME`](crate::proto::MAX_FRAME), and
+/// the paper's 144-point grid comes back in one round trip. Unit tests
+/// use a small chunk so a short spec spans several requests.
+const FETCH_CHUNK: usize = if cfg!(test) { 2 } else { 256 };
 
 /// What [`submit`] brings back: the reassembled outcome plus the server's
 /// accounting of how much work the submission actually caused.
@@ -55,61 +63,51 @@ pub fn submit(
         ));
     }
 
-    // Poll until every key is terminal.
-    let poll_body: String = points
-        .iter()
-        .map(|(_, key)| format!("{key:016x}\n"))
-        .collect();
-    let poll_msg = format!("POLL\n{poll_body}");
-    loop {
-        let reply = request(&mut stream, &poll_msg)?;
-        let word = reply.split(' ').next().unwrap_or("");
-        match word {
-            "READY" => break,
-            "PENDING" => std::thread::sleep(Duration::from_millis(poll_ms)),
-            _ => return Err(format!("unexpected reply to POLL: `{reply}`")),
+    // Poll until every key is terminal. Every cached point already is.
+    let keys: Vec<u64> = points.iter().map(|(_, key)| *key).collect();
+    if cached < total {
+        let poll_msg = format!("POLL\n{}", key_lines(&keys));
+        loop {
+            let reply = request(&mut stream, &poll_msg)?;
+            let word = reply.split(' ').next().unwrap_or("");
+            match word {
+                "READY" => break,
+                "PENDING" => std::thread::sleep(Duration::from_millis(poll_ms)),
+                _ => return Err(format!("unexpected reply to POLL: `{reply}`")),
+            }
         }
     }
 
-    // Fetch every point, preserving expansion order so the assembled
-    // outcome is byte-identical to an in-process run.
+    let mut fetched = Vec::with_capacity(keys.len());
+    for chunk in keys.chunks(FETCH_CHUNK) {
+        let reply = request(&mut stream, &format!("FETCH\n{}", key_lines(chunk)))?;
+        fetched.extend(parse_fetch_reply(&reply, chunk)?);
+    }
+
+    // Assemble in expansion order so the outcome is byte-identical to an
+    // in-process run.
     let mut results: Vec<PointResult> = Vec::with_capacity(points.len());
     let mut errors: Vec<PointError> = Vec::new();
-    for (run, key) in points {
-        let reply = request(&mut stream, &format!("FETCH {key:016x}"))?;
-        let (head, body) = split_message(&reply);
-        let mut parts = head.split(' ');
-        match parts.next().unwrap_or("") {
-            "ENTRY" => {
-                let entry = JournalEntry::from_payload(body)?;
-                if entry.key != key {
-                    return Err(format!(
-                        "server returned entry {:016x} for point {key:016x}",
-                        entry.key
-                    ));
-                }
-                results.push(PointResult {
-                    run,
-                    stats: entry.stats,
-                    stop: entry.stop,
-                    wall_secs: entry.wall_secs,
-                    key,
-                    resumed: false,
-                    attempts: 1,
-                });
-            }
-            "FAILED" => {
-                let attempts: u32 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                errors.push(PointError {
-                    key,
-                    label: run.label(),
-                    attempts,
-                    cause: PointFailure::Failed(body.trim_end().to_string()),
-                });
-            }
-            other => {
+    for ((run, key), fetched) in points.into_iter().zip(fetched) {
+        match fetched {
+            Fetched::Entry(entry) => results.push(PointResult {
+                run,
+                stats: entry.stats,
+                stop: entry.stop,
+                wall_secs: entry.wall_secs,
+                key,
+                resumed: false,
+                attempts: 1,
+            }),
+            Fetched::Failed { attempts, msg } => errors.push(PointError {
+                key,
+                label: run.label(),
+                attempts,
+                cause: PointFailure::Failed(msg),
+            }),
+            Fetched::Pending | Fetched::Unknown => {
                 return Err(format!(
-                    "point {key:016x} is `{other}` after the server reported READY"
+                    "point {key:016x} is {fetched:?} after the server reported READY"
                 ))
             }
         }
@@ -150,6 +148,68 @@ fn parse_submit_reply(head: &str) -> Result<(usize, usize, usize), String> {
     }
 }
 
+/// A `POLL` or `FETCH` body: one hex key per line.
+fn key_lines(keys: &[u64]) -> String {
+    keys.iter().map(|key| format!("{key:016x}\n")).collect()
+}
+
+/// One point's answer in a `FETCH` reply.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Fetched {
+    /// The point's journaled result.
+    Entry(JournalEntry),
+    /// The point failed for good.
+    Failed { attempts: u32, msg: String },
+    /// Known to the server but not terminal yet.
+    Pending,
+    /// Never submitted to this server.
+    Unknown,
+}
+
+/// Decodes a `FETCHED` reply to a request for `keys`: one answer per key,
+/// in request order. An entry filed under another key is an `Err`.
+pub(crate) fn parse_fetch_reply(reply: &str, keys: &[u64]) -> Result<Vec<Fetched>, String> {
+    let (head, body) = split_message(reply);
+    let count = head
+        .strip_prefix("FETCHED ")
+        .and_then(|n| n.parse::<usize>().ok())
+        .ok_or_else(|| format!("unexpected reply to FETCH: `{head}`"))?;
+    let sections = split_sections(body)?;
+    if count != keys.len() || sections.len() != keys.len() {
+        return Err(format!(
+            "asked for {} point(s), the server answered {count} in {} section(s)",
+            keys.len(),
+            sections.len()
+        ));
+    }
+    keys.iter()
+        .zip(sections)
+        .map(|(&key, section)| {
+            let (head, body) = split_message(section);
+            let mut parts = head.split(' ');
+            Ok(match parts.next().unwrap_or("") {
+                "ENTRY" => {
+                    let entry = JournalEntry::from_payload(body)?;
+                    if entry.key != key {
+                        return Err(format!(
+                            "server returned entry {:016x} for point {key:016x}",
+                            entry.key
+                        ));
+                    }
+                    Fetched::Entry(entry)
+                }
+                "FAILED" => Fetched::Failed {
+                    attempts: parts.next().and_then(|v| v.parse().ok()).unwrap_or(0),
+                    msg: body.trim_end().to_string(),
+                },
+                "PENDING" => Fetched::Pending,
+                "UNKNOWN" => Fetched::Unknown,
+                other => return Err(format!("point {key:016x}: unexpected answer `{other}`")),
+            })
+        })
+        .collect()
+}
+
 /// One request/reply exchange.
 fn request(stream: &mut TcpStream, text: &str) -> Result<String, String> {
     write_frame(stream, text).map_err(|e| format!("cannot send to the server: {e}"))?;
@@ -161,6 +221,57 @@ fn request(stream: &mut TcpStream, text: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve, ServeConfig};
+    use vex_experiments::SweepRunner;
+
+    /// A spec served from a journal an in-process sweep wrote comes back
+    /// byte-identical although its keys span several `FETCH` requests,
+    /// and a fully cached submission logs nothing.
+    #[test]
+    fn multi_chunk_fetch_reassembles_byte_identically() {
+        const SPEC: &str = "name = \"chunks\"\ninst_limit = 2000\ntimeslice = 500\n\
+                            techniques = [\"CSMT\", \"SMT\", \"CCSI AS\"]\nthreads = [2]\n\
+                            mixes = [\"llll\"]\n";
+        let dir = std::env::temp_dir().join(format!("vexs_chunks_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("j.vexj").display().to_string();
+        let spec = SweepSpec::parse(SPEC).unwrap();
+        let reference = SweepRunner::new(&spec)
+            .workers(2)
+            .journal(&journal)
+            .deterministic_wall(true)
+            .run()
+            .unwrap();
+        assert!(reference.points.len() > FETCH_CHUNK);
+
+        let port_file = dir.join("port").display().to_string();
+        let cfg = ServeConfig {
+            journal: Some(journal.clone()),
+            resume: true,
+            port_file: Some(port_file.clone()),
+            ..ServeConfig::default()
+        };
+        let server = std::thread::spawn(move || serve(&cfg, None));
+        let addr = loop {
+            match std::fs::read_to_string(&port_file) {
+                Ok(a) if !a.is_empty() => break a,
+                _ => std::thread::sleep(Duration::from_millis(5)),
+            }
+        };
+        let subs = format!("{journal}.subs");
+        let log_before = std::fs::read(&subs).unwrap();
+
+        let sub = submit(&addr, SPEC, None, 10).unwrap();
+        assert_eq!((sub.total, sub.cached, sub.enqueued), (3, 3, 0));
+        assert_eq!(sub.outcome.to_json(), reference.to_json());
+        assert_eq!(std::fs::read(&subs).unwrap(), log_before);
+
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        assert_eq!(request(&mut stream, "DRAIN").unwrap(), "OK");
+        server.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn submit_replies_decode_without_panicking() {
